@@ -90,7 +90,7 @@ uint64_t CntrFsServer::InternNode(const VfsPath& path, const InodeAttr& attr) {
     }
   }
   uint64_t nodeid = (shard.next_seq++ << kNodeShardBits) | shard_idx;
-  shard.nodes[nodeid] = Node{path, 1};
+  shard.nodes[nodeid] = Node{path, 1, key};
   shard.by_dev_ino[key] = nodeid;
   return nodeid;
 }
@@ -839,10 +839,7 @@ FuseReply CntrFsServer::DoForget(const FuseRequest& req) {
     uint64_t returned = std::min(forget.nlookup, it->second.lookup_count);
     it->second.lookup_count -= returned;
     if (it->second.lookup_count == 0) {
-      auto attr = it->second.path.inode->Getattr();
-      if (attr.ok()) {
-        shard.by_dev_ino.erase(DevIno{attr->dev, attr->ino});
-      }
+      shard.by_dev_ino.erase(it->second.dev_ino);
       shard.nodes.erase(it);
     }
   };

@@ -83,13 +83,18 @@ class CntrFsServer : public fuse::FuseHandler {
  private:
   CntrFsServer(kernel::Kernel* kernel, kernel::ProcessPtr server_proc, kernel::VfsPath root);
 
+  // (dev, ino) -> nodeid, so hardlinked paths resolve to one FUSE inode.
+  using DevIno = std::pair<uint64_t, uint64_t>;
+
   struct Node {
     kernel::VfsPath path;     // server-side position (mount + inode)
     uint64_t lookup_count = 0;
+    // The node's by_dev_ino key, kept so a FORGET drops the mapping without
+    // a stat. FORGETs carry no caller lane and are handled whenever a
+    // worker gets to them, so any virtual time they charged would land on
+    // the shared timeline at a schedule-dependent point.
+    DevIno dev_ino;
   };
-
-  // (dev, ino) -> nodeid, so hardlinked paths resolve to one FUSE inode.
-  using DevIno = std::pair<uint64_t, uint64_t>;
 
   // The node table is lock-striped so concurrent channels do not
   // re-serialize on one table mutex. A shard owns both directions of the

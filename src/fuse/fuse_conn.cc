@@ -1084,6 +1084,10 @@ bool FuseConn::RingPushSqe(FuseChannel& ch, RingState& ring, FuseRequest request
       return false;
     }
     bool was_empty = ring.sq.SizeApprox() == 0;
+    // Count before publishing: once the entry is in the SQ a worker may reap
+    // it and decrement at once, and a count that trailed the push would
+    // wrap queued_depth() below zero for the pool controller to read.
+    queued_total_.fetch_add(1);  // seq_cst: pairs with parked workers
     if (ring.sq.TryPush(std::move(request))) {
       ch.enqueued.fetch_add(1, std::memory_order_relaxed);
       uint64_t depth_now = ring.sq.SizeApprox();
@@ -1091,7 +1095,6 @@ bool FuseConn::RingPushSqe(FuseChannel& ch, RingState& ring, FuseRequest request
       while (md < depth_now && !ch.max_depth.compare_exchange_weak(
                                    md, depth_now, std::memory_order_relaxed)) {
       }
-      queued_total_.fetch_add(1);  // seq_cst: pairs with parked workers
       if (was_empty) {
         // Burst head (stats only: this is a real-time observation).
         ring.doorbells.fetch_add(1, std::memory_order_relaxed);
@@ -1111,6 +1114,7 @@ bool FuseConn::RingPushSqe(FuseChannel& ch, RingState& ring, FuseRequest request
       }
       return true;
     }
+    queued_total_.fetch_sub(1);  // not published: undo the count
     // Ring exhausted: backpressure the submitter with a bounded park until a
     // reap frees a cell (or the connection dies).
     if (!overflowed) {
@@ -1781,9 +1785,14 @@ void FuseConn::EnqueueInterruptNotify(FuseChannel& ch, size_t ch_idx, uint64_t u
     // Best effort: a notification that finds the ring full is dropped — the
     // waiter is already unblocked either way.
     ring->submitting.fetch_add(1, std::memory_order_seq_cst);
-    if (!aborted() && ring->sq.TryPush(std::move(notify))) {
+    if (!aborted()) {
+      // Counted before the push, as in RingPushSqe.
       queued_total_.fetch_add(1);  // seq_cst: pairs with parked workers
-      NotifyWork();
+      if (ring->sq.TryPush(std::move(notify))) {
+        NotifyWork();
+      } else {
+        queued_total_.fetch_sub(1);
+      }
     }
     ring->submitting.fetch_sub(1, std::memory_order_seq_cst);
     return;

@@ -457,6 +457,21 @@ InodePtr FuseFs::GetOrCreateInode(const FuseEntryOut& entry) {
   return existing;
 }
 
+void FuseFs::EraseInode(uint64_t nodeid) {
+  std::lock_guard<analysis::CheckedMutex> lock(inodes_mu_);
+  auto it = inodes_.find(nodeid);
+  // A lookup that found this entry already expired may have installed a
+  // live replacement for the same nodeid: that one stays.
+  if (it != inodes_.end() && it->second.expired()) {
+    inodes_.erase(it);
+  }
+}
+
+size_t FuseFs::inode_table_size() const {
+  std::lock_guard<analysis::CheckedMutex> lock(inodes_mu_);
+  return inodes_.size();
+}
+
 InodePtr FuseFs::PrimeChild(FuseInode* dir, const std::string& name, const FuseEntryOut& entry) {
   InodePtr child = GetOrCreateInode(entry);
   if (auto* fchild = dynamic_cast<FuseInode*>(child.get())) {
@@ -726,9 +741,9 @@ FuseInode::FuseInode(FuseFs* fs, uint64_t nodeid, const InodeAttr& attr, uint64_
 FuseInode::~FuseInode() {
   // Dirty pages dropped with the inode leave the writeback set for good:
   // return their bytes or the watermarks drift permanently upward.
-  fs_->SubDirty(fs_->kernel()->page_cache().DirtyBytes(this));
-  fs_->kernel()->page_cache().DropAll(this);
+  fs_->SubDirty(fs_->kernel()->page_cache().DropAll(this));
   fs_->ForgetDirty(this);
+  fs_->EraseInode(nodeid_);
   if (nodeid_ != kFuseRootId) {
     fs_->QueueForget(nodeid_, nlookup_.load(std::memory_order_relaxed));
   }
@@ -768,7 +783,7 @@ StatusOr<InodeAttr> FuseInode::Getattr() {
   CNTR_ASSIGN_OR_RETURN(FuseReply reply, fs_->Call(std::move(req)));
   // A stat round trip on a child is the signal Linux feeds back as
   // FUSE_I_ADVISE_RDPLUS: stats are happening here, batching them pays.
-  if (auto parent = parent_hint_.lock()) {
+  if (auto parent = ParentHint()) {
     parent->AdviseReaddirPlus();
   }
   std::lock_guard<analysis::CheckedMutex> lock(mu_);
@@ -786,12 +801,9 @@ Status FuseInode::Setattr(const kernel::SetattrRequest& sreq, const kernel::Cred
   req.gid = cred.fsgid;
   CNTR_ASSIGN_OR_RETURN(FuseReply reply, fs_->Call(std::move(req)));
   if (sreq.size.has_value()) {
-    auto& pool = fs_->kernel()->page_cache();
     // Truncate drops dirty pages without a flush: return their bytes to the
     // writeback accounting or the watermarks drift permanently upward.
-    uint64_t dirty_before = pool.DirtyBytes(this);
-    pool.TruncatePages(this, *sreq.size);
-    fs_->SubDirty(dirty_before - pool.DirtyBytes(this));
+    fs_->SubDirty(fs_->kernel()->page_cache().TruncatePages(this, *sreq.size));
   }
   std::lock_guard<analysis::CheckedMutex> lock(mu_);
   UpdateAttrLocked(reply.attr, fs_->options().attr_ttl_ns);
@@ -1027,8 +1039,7 @@ StatusOr<FilePtr> FuseInode::Open(int flags, const kernel::Credentials& cred) {
   bool keep = fs_->options().keep_cache && (reply.open_flags & kFOpenKeepCache);
   if (!is_dir && !keep) {
     // Dropped dirty pages leave the writeback set for good (see Setattr).
-    fs_->SubDirty(fs_->kernel()->page_cache().DirtyBytes(this));
-    fs_->kernel()->page_cache().DropAll(this);
+    fs_->SubDirty(fs_->kernel()->page_cache().DropAll(this));
   }
   {
     std::lock_guard<analysis::CheckedMutex> lock(mu_);
@@ -1080,7 +1091,7 @@ StatusOr<InodePtr> FuseInode::Parent() {
       return Status::Error(ENOTDIR);
     }
   }
-  if (auto parent = parent_hint_.lock()) {
+  if (auto parent = ParentHint()) {
     return InodePtr(parent);
   }
   if (nodeid_ == kFuseRootId) {

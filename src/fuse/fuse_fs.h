@@ -242,6 +242,12 @@ class FuseFs : public kernel::FileSystem, public std::enable_shared_from_this<Fu
   // refreshes the inode's cached attributes from `entry` (the server's reply
   // is newer than whatever the inode held).
   kernel::InodePtr GetOrCreateInode(const FuseEntryOut& entry);
+  // Called from ~FuseInode: removes the nodeid's entry if it is still
+  // expired, so the map holds only live inodes (CNTRFS nodeids are never
+  // reused, and a dead weak_ptr would pin the whole make_shared block).
+  void EraseInode(uint64_t nodeid);
+  // Entries in the nodeid -> inode map (observability and tests).
+  size_t inode_table_size() const;
 
   // Materializes one READDIRPLUS entry: resolves the inode, refreshes its
   // attr cache, and primes the kernel dentry cache under (dir, name) with
@@ -332,7 +338,7 @@ class FuseFs : public kernel::FileSystem, public std::enable_shared_from_this<Fu
   uint32_t readahead_ceiling_pages_ = 32;
   std::shared_ptr<FuseInode> root_;
 
-  analysis::CheckedMutex inodes_mu_{"fuse.fs.inodes"};
+  mutable analysis::CheckedMutex inodes_mu_{"fuse.fs.inodes"};
   std::map<uint64_t, std::weak_ptr<FuseInode>> inodes_;
 
   analysis::CheckedMutex forget_mu_{"fuse.fs.forget"};
@@ -419,7 +425,16 @@ class FuseInode : public kernel::Inode {
     std::lock_guard<analysis::CheckedMutex> lock(mu_);
     last_known_fh_ = fh;
   }
-  void SetParentHint(std::shared_ptr<FuseInode> parent) { parent_hint_ = std::move(parent); }
+  // Concurrent lookups of one name race to set the same child's hint, so it
+  // lives under mu_.
+  void SetParentHint(const std::shared_ptr<FuseInode>& parent) {
+    std::lock_guard<analysis::CheckedMutex> lock(mu_);
+    parent_hint_ = parent;
+  }
+  std::shared_ptr<FuseInode> ParentHint() {
+    std::lock_guard<analysis::CheckedMutex> lock(mu_);
+    return parent_hint_.lock();
+  }
 
   // Installs server-granted attributes into the attr cache (READDIRPLUS /
   // LOOKUP reply priming): a subsequent Getattr within `ttl_ns` is a pure
@@ -476,7 +491,7 @@ class FuseInode : public kernel::Inode {
   kernel::InodeAttr attr_;
   uint64_t attr_expiry_ns_;
   uint64_t last_known_fh_ = UINT64_MAX;  // for flush without an open file
-  std::weak_ptr<FuseInode> parent_hint_;
+  std::weak_ptr<FuseInode> parent_hint_;  // guarded by mu_
   bool dirty_registered_ = false;
   // Deduplicates background-flush queueing (cleared by the flusher).
   std::atomic<bool> flush_queued_{false};

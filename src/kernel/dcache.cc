@@ -1,6 +1,7 @@
 #include "src/kernel/dcache.h"
 
 #include <algorithm>
+#include <utility>
 #include "src/analysis/lockdep.h"
 
 namespace cntr::kernel {
@@ -21,6 +22,7 @@ DentryCache::DentryCache(SimClock* clock, const CostModel* costs, size_t max_ent
 std::optional<InodePtr> DentryCache::LookupEntry(const Inode* dir, const std::string& name) {
   Key key{dir, name};
   Shard& shard = ShardFor(key);
+  InodePtr dropped;  // declared before the lock: released after unlocking
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
   auto it = shard.entries.find(key);
   if (it == shard.entries.end()) {
@@ -28,6 +30,7 @@ std::optional<InodePtr> DentryCache::LookupEntry(const Inode* dir, const std::st
     return std::nullopt;
   }
   if (it->second.expiry_ns != UINT64_MAX && clock_->NowNs() >= it->second.expiry_ns) {
+    dropped = std::move(it->second.child);
     shard.lru.erase(it->second.lru_it);
     shard.entries.erase(it);
     expiries_.fetch_add(1, std::memory_order_relaxed);
@@ -50,10 +53,11 @@ void DentryCache::Insert(const Inode* dir, const std::string& name, InodePtr chi
   Key key{dir, name};
   Shard& shard = ShardFor(key);
   uint64_t expiry = ttl_ns == UINT64_MAX ? UINT64_MAX : clock_->NowNs() + ttl_ns;
+  InodePtr dropped;  // declared before the lock: released after unlocking
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
   auto it = shard.entries.find(key);
   if (it != shard.entries.end()) {
-    it->second.child = std::move(child);
+    dropped = std::exchange(it->second.child, std::move(child));
     it->second.expiry_ns = expiry;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
     return;
@@ -61,7 +65,9 @@ void DentryCache::Insert(const Inode* dir, const std::string& name, InodePtr chi
   if (shard.entries.size() >= max_per_shard_ && !shard.lru.empty()) {
     // Evict the shard's least-recently-used entry, like Linux's LRU dentry
     // shrinker (scoped to the stripe, so eviction never takes other locks).
-    shard.entries.erase(shard.lru.back());
+    auto victim = shard.entries.find(shard.lru.back());
+    dropped = std::move(victim->second.child);
+    shard.entries.erase(victim);
     shard.lru.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -72,33 +78,48 @@ void DentryCache::Insert(const Inode* dir, const std::string& name, InodePtr chi
 void DentryCache::Invalidate(const Inode* dir, const std::string& name) {
   Key key{dir, name};
   Shard& shard = ShardFor(key);
+  InodePtr dropped;  // declared before the lock: released after unlocking
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
   auto it = shard.entries.find(key);
   if (it != shard.entries.end()) {
+    dropped = std::move(it->second.child);
     shard.lru.erase(it->second.lru_it);
     shard.entries.erase(it);
   }
 }
 
 void DentryCache::InvalidateDir(const Inode* dir) {
+  std::vector<InodePtr> dropped;
   for (Shard& shard : shards_) {
-    std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-    for (auto it = shard.entries.begin(); it != shard.entries.end();) {
-      if (it->first.dir == dir) {
-        shard.lru.erase(it->second.lru_it);
-        it = shard.entries.erase(it);
-      } else {
-        ++it;
+    {
+      std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
+      for (auto it = shard.entries.begin(); it != shard.entries.end();) {
+        if (it->first.dir == dir) {
+          dropped.push_back(std::move(it->second.child));
+          shard.lru.erase(it->second.lru_it);
+          it = shard.entries.erase(it);
+        } else {
+          ++it;
+        }
       }
     }
+    dropped.clear();  // inode eviction runs outside the stripe lock
   }
 }
 
 void DentryCache::Clear() {
+  std::vector<InodePtr> dropped;
   for (Shard& shard : shards_) {
-    std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-    shard.entries.clear();
-    shard.lru.clear();
+    {
+      std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
+      dropped.reserve(shard.entries.size());
+      for (auto& [key, entry] : shard.entries) {
+        dropped.push_back(std::move(entry.child));
+      }
+      shard.entries.clear();
+      shard.lru.clear();
+    }
+    dropped.clear();  // inode eviction runs outside the stripe lock
   }
 }
 

@@ -58,6 +58,10 @@ class DentryCache {
     Insert(dir, name, nullptr, ttl_ns);
   }
 
+  // Every path that drops an entry (these three, expiry, overwrite and LRU
+  // eviction) releases its inode only after the stripe lock is released,
+  // as Linux's shrink_dentry_list does: inode eviction — page drop, FORGET
+  // queueing — never nests under kernel.dcache.shard.
   void Invalidate(const Inode* dir, const std::string& name);
   void InvalidateDir(const Inode* dir);
   void Clear();

@@ -49,14 +49,9 @@ bool PageCachePool::StorePage(CacheOwner owner, uint64_t idx, const char* data, 
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
   auto it = shard.pages.find(key);
   if (it == shard.pages.end()) {
-    Page page;
-    page.data = std::make_shared<char[]>(kPageSize);
-    std::memcpy(page.data.get(), data, kPageSize);
-    shard.lru.push_front(key);
-    page.lru_it = shard.lru.begin();
-    page.dirty = dirty;
-    page.gen = dirty ? 1 : 0;
-    shard.pages.emplace(key, std::move(page));
+    auto copy = std::make_shared<char[]>(kPageSize);
+    std::memcpy(copy.get(), data, kPageSize);
+    InsertPageLocked(shard, key, std::move(copy), dirty);
   } else {
     EnsureExclusiveLocked(it->second, /*preserve_content=*/false);
     std::memcpy(it->second.data.get(), data, kPageSize);
@@ -103,7 +98,7 @@ PageCachePool::UpdateResult PageCachePool::UpdatePage(CacheOwner owner, uint64_t
   return UpdateResult::kUpdated;
 }
 
-void PageCachePool::TruncatePages(CacheOwner owner, uint64_t new_size) {
+uint64_t PageCachePool::TruncatePages(CacheOwner owner, uint64_t new_size) {
   uint64_t first_dropped = (new_size + kPageSize - 1) / kPageSize;
   // Zero the partial tail of the boundary page.
   if (new_size % kPageSize != 0) {
@@ -118,25 +113,13 @@ void PageCachePool::TruncatePages(CacheOwner owner, uint64_t new_size) {
     }
   }
   // Drop whole pages past the new end (the owner's pages are spread over
-  // every shard, so all stripes are visited).
+  // every shard, so all stripes are visited — each along its owner chain).
+  uint64_t dropped_dirty = 0;
   for (Shard& shard : shards_) {
     std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-    auto dit = shard.dirty.find(owner);
-    for (auto it = shard.pages.begin(); it != shard.pages.end();) {
-      if (it->first.owner == owner && it->first.idx >= first_dropped) {
-        if (it->second.dirty) {
-          dirty_bytes_total_.fetch_sub(kPageSize, std::memory_order_relaxed);
-          if (dit != shard.dirty.end()) {
-            dit->second.erase(it->first.idx);
-          }
-        }
-        shard.lru.erase(it->second.lru_it);
-        it = shard.pages.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    dropped_dirty += DropOwnerPagesLocked(shard, owner, first_dropped);
   }
+  return dropped_dirty;
 }
 
 bool PageCachePool::MarkClean(CacheOwner owner, uint64_t idx) {
@@ -168,48 +151,26 @@ void PageCachePool::Drop(CacheOwner owner, uint64_t idx) {
   Shard& shard = ShardFor(key);
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
   auto it = shard.pages.find(key);
-  if (it == shard.pages.end()) {
-    return;
+  if (it != shard.pages.end()) {
+    ErasePageLocked(shard, it);
   }
-  if (it->second.dirty) {
-    dirty_bytes_total_.fetch_sub(kPageSize, std::memory_order_relaxed);
-    auto dit = shard.dirty.find(owner);
-    if (dit != shard.dirty.end()) {
-      dit->second.erase(idx);
-    }
-  }
-  shard.lru.erase(it->second.lru_it);
-  shard.pages.erase(it);
 }
 
-void PageCachePool::DropAll(CacheOwner owner) {
+uint64_t PageCachePool::DropAll(CacheOwner owner) {
+  uint64_t dropped_dirty = 0;
   for (Shard& shard : shards_) {
     std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
-    for (auto it = shard.pages.begin(); it != shard.pages.end();) {
-      if (it->first.owner == owner) {
-        if (it->second.dirty) {
-          dirty_bytes_total_.fetch_sub(kPageSize, std::memory_order_relaxed);
-        }
-        shard.lru.erase(it->second.lru_it);
-        it = shard.pages.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    dropped_dirty += DropOwnerPagesLocked(shard, owner, 0);
     shard.dirty.erase(owner);
   }
+  return dropped_dirty;
 }
 
 void PageCachePool::DropAllClean() {
   for (Shard& shard : shards_) {
     std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
     for (auto it = shard.pages.begin(); it != shard.pages.end();) {
-      if (!it->second.dirty) {
-        shard.lru.erase(it->second.lru_it);
-        it = shard.pages.erase(it);
-      } else {
-        ++it;
-      }
+      it = it->second.dirty ? std::next(it) : ErasePageLocked(shard, it);
     }
   }
 }
@@ -324,13 +285,7 @@ PageCachePool::StoreRefResult PageCachePool::StorePageRef(CacheOwner owner, uint
   auto it = shard.pages.find(key);
   bool count_dirty = dirty;
   if (it == shard.pages.end()) {
-    Page page;
-    page.data = std::move(install);
-    shard.lru.push_front(key);
-    page.lru_it = shard.lru.begin();
-    page.dirty = dirty;
-    page.gen = dirty ? 1 : 0;
-    shard.pages.emplace(key, std::move(page));
+    InsertPageLocked(shard, key, std::move(install), dirty);
   } else {
     it->second.data = std::move(install);
     bool was_dirty = it->second.dirty;
@@ -363,8 +318,7 @@ std::optional<splice::PageRef> PageCachePool::StealPage(CacheOwner owner, uint64
   splice::PageRef ref;
   ref.page = std::move(it->second.data);
   ref.len = kPageSize;
-  shard.lru.erase(it->second.lru_it);
-  shard.pages.erase(it);
+  ErasePageLocked(shard, it);
   ref_steals_.fetch_add(1, std::memory_order_relaxed);
   clock_->Advance(costs_->splice_page_ns);
   return ref;
@@ -386,6 +340,68 @@ void PageCachePool::EnsureExclusiveLocked(Page& page, bool preserve_content) {
   clock_->Advance(costs_->copy_page_ns);
 }
 
+void PageCachePool::InsertPageLocked(Shard& shard, const Key& key,
+                                     std::shared_ptr<char[]> data, bool dirty) {
+  shard.lru.push_front(key);
+  Page& page = shard.pages.try_emplace(key).first->second;
+  page.data = std::move(data);
+  page.dirty = dirty;
+  page.gen = dirty ? 1 : 0;
+  page.lru_it = shard.lru.begin();
+  page.idx = key.idx;
+  Page*& head = shard.owner_pages[key.owner];
+  page.owner_next = head;
+  if (head != nullptr) {
+    head->owner_prev = &page;
+  }
+  head = &page;
+}
+
+PageCachePool::PageMap::iterator PageCachePool::ErasePageLocked(Shard& shard,
+                                                                PageMap::iterator it) {
+  const Key& key = it->first;
+  Page& page = it->second;
+  if (page.owner_next != nullptr) {
+    page.owner_next->owner_prev = page.owner_prev;
+  }
+  if (page.owner_prev != nullptr) {
+    page.owner_prev->owner_next = page.owner_next;
+  } else if (page.owner_next != nullptr) {
+    shard.owner_pages[key.owner] = page.owner_next;
+  } else {
+    shard.owner_pages.erase(key.owner);
+  }
+  if (page.dirty) {
+    dirty_bytes_total_.fetch_sub(kPageSize, std::memory_order_relaxed);
+    auto dit = shard.dirty.find(key.owner);
+    if (dit != shard.dirty.end()) {
+      dit->second.erase(key.idx);
+    }
+  }
+  shard.lru.erase(page.lru_it);
+  return shard.pages.erase(it);
+}
+
+uint64_t PageCachePool::DropOwnerPagesLocked(Shard& shard, CacheOwner owner,
+                                             uint64_t first_idx) {
+  auto head = shard.owner_pages.find(owner);
+  if (head == shard.owner_pages.end()) {
+    return 0;
+  }
+  uint64_t dropped_dirty = 0;
+  for (Page* page = head->second; page != nullptr;) {
+    Page* next = page->owner_next;  // read before the erase frees `page`
+    if (page->idx >= first_idx) {
+      if (page->dirty) {
+        dropped_dirty += kPageSize;
+      }
+      ErasePageLocked(shard, shard.pages.find(Key{owner, page->idx}));
+    }
+    page = next;
+  }
+  return dropped_dirty;
+}
+
 void PageCachePool::TouchLocked(Shard& shard, Page& page, const Key& /*key*/) {
   shard.lru.splice(shard.lru.begin(), shard.lru, page.lru_it);
   page.lru_it = shard.lru.begin();
@@ -394,25 +410,22 @@ void PageCachePool::TouchLocked(Shard& shard, Page& page, const Key& /*key*/) {
 void PageCachePool::EvictIfNeededLocked(Shard& shard) {
   while (shard.pages.size() * kPageSize > capacity_per_shard_ && !shard.lru.empty()) {
     // Scan from the cold end for a clean victim; dirty pages are pinned.
-    auto victim = shard.lru.end();
-    bool found = false;
+    auto victim = shard.pages.end();
     size_t scanned = 0;
     for (auto it = std::prev(shard.lru.end());; --it) {
       auto pit = shard.pages.find(*it);
       if (pit != shard.pages.end() && !pit->second.dirty) {
-        victim = it;
-        found = true;
+        victim = pit;
         break;
       }
       if (++scanned > 128 || it == shard.lru.begin()) {
         break;  // all-cold pages dirty: allow transient overshoot
       }
     }
-    if (!found) {
+    if (victim == shard.pages.end()) {
       return;
     }
-    shard.pages.erase(*victim);
-    shard.lru.erase(victim);
+    ErasePageLocked(shard, victim);
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }

@@ -12,6 +12,12 @@
 // readers/writers (the Figure 4 multithreading path) do not serialize on a
 // single pool mutex. Capacity and eviction are likewise per shard.
 //
+// Per-owner index: inside each shard every page is also threaded onto its
+// owner's chain (Linux's per-inode address_space), so DropAll and
+// TruncatePages visit only that owner's pages. Dropping an inode costs
+// O(its pages + shards), not O(pool) — inode eviction after a dentry drop
+// would otherwise scan the whole cache once per evicted inode.
+//
 // Eviction policy: clean pages are evicted LRU; dirty pages are pinned until
 // their owner flushes them (owners flush on fsync, on dirty thresholds, and
 // on release), at which point they become clean and evictable. The pool may
@@ -67,8 +73,9 @@ class PageCachePool {
                           const char* src, bool mark_dirty);
 
   // Zeroes the tail of the file's last page beyond `size` and drops whole
-  // pages past it (truncate support).
-  void TruncatePages(CacheOwner owner, uint64_t new_size);
+  // pages past it (truncate support). Returns the dirty bytes dropped, so
+  // owners can keep exact dirty-byte accounting.
+  uint64_t TruncatePages(CacheOwner owner, uint64_t new_size);
 
   // Clears the dirty bit; returns true if the page was dirty (so owners can
   // keep exact dirty-byte accounting even when two flushers race).
@@ -79,7 +86,9 @@ class PageCachePool {
   // MarkClean keeps the page dirty instead of being silently lost.
   bool MarkCleanIfGen(CacheOwner owner, uint64_t idx, uint64_t gen);
   void Drop(CacheOwner owner, uint64_t idx);
-  void DropAll(CacheOwner owner);
+  // Drops every page of one owner, dirty ones included; returns the dirty
+  // bytes dropped (as TruncatePages).
+  uint64_t DropAll(CacheOwner owner);
   // Drops every clean page of every owner (echo 3 > drop_caches); dirty
   // pages stay pinned.
   void DropAllClean();
@@ -184,14 +193,25 @@ class PageCachePool {
     // writeback detect re-dirtying between snapshot and MarkCleanIfGen.
     uint64_t gen = 0;
     std::list<Key>::iterator lru_it;
+    // The owner's chain through this shard (see "Per-owner index" above).
+    // Map nodes never move, so the links stay valid until the page is
+    // erased. `idx` repeats the key's page index so a chain walk can find
+    // the map node.
+    uint64_t idx = 0;
+    Page* owner_prev = nullptr;
+    Page* owner_next = nullptr;
   };
+  using PageMap = std::unordered_map<Key, Page, KeyHash>;
 
   // One lock stripe with its own map, LRU list, capacity slice and dirty
   // bookkeeping; padded so neighbouring shard locks do not false-share.
   struct alignas(64) Shard {
     mutable analysis::CheckedMutex mu{"kernel.pagecache.shard"};
-    std::unordered_map<Key, Page, KeyHash> pages;
+    PageMap pages;
     std::list<Key> lru;  // front = most recent
+    // Head of each owner's page chain; an owner with no page here has no
+    // entry.
+    std::unordered_map<CacheOwner, Page*> owner_pages;
     // Per-owner dirty page sets, kept sorted for extent coalescing.
     std::unordered_map<CacheOwner, std::map<uint64_t, bool>> dirty;
   };
@@ -200,6 +220,15 @@ class PageCachePool {
     return shards_[KeyHash()(key) % shards_.size()];
   }
 
+  // Inserts a page absent from the shard at the LRU head and on its
+  // owner's chain.
+  void InsertPageLocked(Shard& shard, const Key& key, std::shared_ptr<char[]> data, bool dirty);
+  // Unlinks a page from the LRU, its owner's chain and the dirty
+  // bookkeeping, then frees it. Returns the iterator past it.
+  PageMap::iterator ErasePageLocked(Shard& shard, PageMap::iterator it);
+  // Erases the owner's pages in this shard with index >= first_idx, walking
+  // only the owner's chain. Returns the dirty bytes erased.
+  uint64_t DropOwnerPagesLocked(Shard& shard, CacheOwner owner, uint64_t first_idx);
   void TouchLocked(Shard& shard, Page& page, const Key& key);
   void EvictIfNeededLocked(Shard& shard);
   // Un-shares a page before mutation (COW break); charges a page copy when

@@ -3,7 +3,10 @@
 // (observed through server-side statistics).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/core/cntrfs.h"
 #include "src/fuse/fuse_conn.h"
@@ -308,6 +311,99 @@ TEST_F(FuseFsTest, NegativeDentryExpiresSoServerSideCreatesAppear) {
   ASSERT_TRUE(kernel_->Close(*kernel_->init(), fd.value()).ok());
   kernel_->clock().Advance(2'000'000'000);  // outlive the 1s entry TTL
   EXPECT_TRUE(kernel_->Stat(*proc_, "/m/tmp/later").ok());
+}
+
+// CNTRFS nodeids are never reused, so every drop-and-re-lookup cycle gives
+// a file a fresh nodeid. The nodeid -> inode map must shed the dead entry
+// with the inode, or it grows by one entry per evicted inode forever (and,
+// with make_shared, each dead weak_ptr pins a whole FuseInode allocation).
+TEST_F(FuseFsTest, InodeTableStaysBoundedAcrossDentryDrops) {
+  Mount(FuseMountOptions::Optimized());
+  constexpr int kFiles = 40;
+  for (int i = 0; i < kFiles; ++i) {
+    auto fd = kernel_->Open(*kernel_->init(), "/tmp/it" + std::to_string(i),
+                            kernel::kOWrOnly | kernel::kOCreat, 0644);
+    ASSERT_TRUE(fd.ok());
+    ASSERT_TRUE(kernel_->Close(*kernel_->init(), fd.value()).ok());
+  }
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    // Every other file stays pinned across the drop; the rest die with it.
+    std::vector<kernel::InodePtr> held;
+    for (int i = 0; i < kFiles; ++i) {
+      auto path = kernel_->Resolve(*proc_, "/m/tmp/it" + std::to_string(i));
+      ASSERT_TRUE(path.ok()) << path.status().ToString();
+      if (i % 2 == 0) {
+        held.push_back(path->inode);
+      }
+    }
+    kernel_->dcache().Clear();
+    // Live FUSE inodes: the held files and the mount root.
+    EXPECT_LE(fuse_fs_->inode_table_size(), held.size() + 1) << "cycle " << cycle;
+    // A held inode is still the one a lookup of its nodeid resolves to.
+    auto again = kernel_->Resolve(*proc_, "/m/tmp/it0");
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again->inode.get(), held.front().get()) << "cycle " << cycle;
+    kernel_->dcache().Clear();
+  }
+}
+
+// ~FuseInode runs after its weak_ptr has expired. A lookup that lands in
+// that window installs a live replacement under the same nodeid, and the
+// dying inode must not erase it: the next lookup would then materialize a
+// second inode (a second page cache) for one server file.
+TEST_F(FuseFsTest, DyingInodeNeverErasesItsLiveReplacement) {
+  Mount(FuseMountOptions::Optimized());
+  auto fd = kernel_->Open(*kernel_->init(), "/tmp/race", kernel::kOWrOnly | kernel::kOCreat,
+                          0644);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(kernel_->Close(*kernel_->init(), fd.value()).ok());
+  auto tmp = fuse_fs_->root()->Lookup("tmp");
+  ASSERT_TRUE(tmp.ok());
+  kernel::InodePtr dir = tmp.value();
+
+  // The destructor's erase step, run while the nodeid's entry already holds
+  // a live inode (the replacement), must leave that entry alone.
+  {
+    auto live = dir->Lookup("race");
+    ASSERT_TRUE(live.ok());
+    auto* fuse_live = dynamic_cast<FuseInode*>(live.value().get());
+    ASSERT_NE(fuse_live, nullptr);
+    size_t before = fuse_fs_->inode_table_size();
+    fuse_fs_->EraseInode(fuse_live->nodeid());
+    EXPECT_EQ(fuse_fs_->inode_table_size(), before);
+    auto again = dir->Lookup("race");
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again.value().get(), live.value().get());
+  }
+
+  // The same race end to end: one thread materializes and drops the inode
+  // over and over while another holds it across pairs of lookups.
+  constexpr int kRounds = 3000;
+  std::atomic<bool> stop{false};
+  std::thread dropper([&] {
+    // Materializes the inode alone and drops it at once: each round ends
+    // in ~FuseInode, racing the holder's lookups below.
+    while (!stop.load(std::memory_order_relaxed)) {
+      auto child = dir->Lookup("race");
+      ASSERT_TRUE(child.ok());
+    }
+  });
+  int split = 0;
+  for (int i = 0; i < kRounds; ++i) {
+    auto first = dir->Lookup("race");
+    auto second = dir->Lookup("race");
+    EXPECT_TRUE(first.ok() && second.ok());
+    if (!first.ok() || !second.ok()) {
+      break;  // still join the dropper below
+    }
+    if (first.value().get() != second.value().get()) {
+      ++split;
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  dropper.join();
+  EXPECT_EQ(split, 0) << "a held inode lost its table entry to a dying twin";
+  EXPECT_LE(fuse_fs_->inode_table_size(), 2u);  // root and tmp
 }
 
 TEST_F(FuseFsTest, StatfsForwardsToServer) {

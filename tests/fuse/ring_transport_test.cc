@@ -6,6 +6,7 @@
 // payloads over rings, and the ring fault points degrading cleanly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -333,6 +334,74 @@ TEST(RingTransportTest, MultiReapDrainsAForgetBurstInOnePass) {
   EXPECT_GE(stats.max_reqs_per_reap, kBurst);
   EXPECT_GE(stats.reaped_requests, kBurst);
   EXPECT_EQ(conn.stats().forgets, kBurst);
+  conn.Abort();
+}
+
+// queued_depth() is the pool controller's overload signal. A submitter
+// counts its SQE before publishing it, so a reaper that pops and
+// decrements at once can never drive the count below zero; it used to wrap
+// to 2^64-1 for an instant, which the controller read as a backlog past
+// every watermark and answered with a hard shed.
+TEST(RingTransportTest, QueuedDepthNeverExceedsRequestsInFlight) {
+  SimClock clock;
+  CostModel costs;
+  FuseConn conn(&clock, &costs, 2);
+  ASSERT_GT(conn.ConfigureRing(16), 0u);
+
+  constexpr int kPushers = 3;
+  constexpr uint64_t kPerPusher = 50000;
+  constexpr uint64_t kTotal = kPushers * kPerPusher;
+  std::atomic<uint64_t> started{0};  // bumped before each submission
+  std::atomic<uint64_t> reaped{0};   // bumped after each reaped batch
+  std::atomic<uint64_t> samples{0};
+  std::atomic<uint64_t> violations{0};
+  std::atomic<uint64_t> worst{0};
+  // In flight = submissions started minus requests reaped. Reading reaped
+  // first and started last makes the bound conservative: the count the
+  // depth reflects lies between the two reads.
+  auto sample = [&] {
+    uint64_t done = reaped.load();
+    uint64_t depth = conn.queued_depth();
+    std::atomic_thread_fence(std::memory_order_acquire);
+    uint64_t in_flight = started.load() - done;
+    samples.fetch_add(1, std::memory_order_relaxed);
+    if (depth > in_flight) {
+      violations.fetch_add(1, std::memory_order_relaxed);
+      uint64_t w = worst.load(std::memory_order_relaxed);
+      while (w < depth && !worst.compare_exchange_weak(w, depth)) {
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kPushers; ++p) {
+    kernel::Pid pid = PidOnChannel(conn, p % 2, static_cast<kernel::Pid>(100 * (p + 1)));
+    threads.emplace_back([&conn, &started, pid] {
+      for (uint64_t i = 0; i < kPerPusher; ++i) {
+        started.fetch_add(1);
+        conn.SendNoReply(ForgetFrom(pid));
+      }
+    });
+  }
+  // Reapers sample right after each pass: a decrement that overtook its
+  // submitter's count would be visible exactly then.
+  for (size_t r = 0; r < 2; ++r) {
+    threads.emplace_back([&conn, &reaped, &sample, r] {
+      while (reaped.load() < kTotal) {
+        reaped.fetch_add(conn.TryReadRequestBatch(r).size());
+        sample();
+      }
+    });
+  }
+  while (reaped.load() < kTotal) {
+    sample();
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(violations.load(), 0u) << "of " << samples.load() << " samples; worst depth "
+                                   << worst.load();
+  EXPECT_EQ(conn.queued_depth(), 0u);
+  EXPECT_EQ(reaped.load(), kTotal);
   conn.Abort();
 }
 

@@ -1,13 +1,16 @@
 // Unit tests for the shared page-cache pool: LRU eviction, dirty pinning,
-// per-owner accounting, and extent coalescing — the machinery behind the
-// paper's caching results.
+// per-owner accounting and the per-owner page index, and extent coalescing
+// — the machinery behind the paper's caching results.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstring>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "src/kernel/page_cache.h"
+#include "src/splice/page_ref.h"
 #include "src/util/rng.h"
 
 namespace cntr::kernel {
@@ -181,6 +184,198 @@ TEST_P(PageCachePropertyTest, LastWriteWins) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PageCachePropertyTest, ::testing::Values(1, 2, 3, 4, 5));
+
+// Per-owner index sweep: many owners share a pool small enough to evict,
+// under a random mix of every insert and removal path. Dirty pages are
+// pinned, so the dirty model is exact; clean residency is read back with
+// HasPage. Every DropAll must remove exactly its owner's pages and leave
+// the pool's byte totals exact.
+class PageCacheOwnerIndexTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PageCacheOwnerIndexTest, DropAllRemovesExactlyTheOwnersPages) {
+  SimClock clock;
+  CostModel costs;
+  PageCachePool pool(&clock, &costs, 256 * kPageSize);
+  ASSERT_GT(pool.num_shards(), 1u);
+  Rng rng(GetParam());
+  constexpr int kOwners = 16;
+  constexpr uint64_t kIdx = 128;
+  std::array<char, kOwners> owners{};
+  using Key = std::pair<int, uint64_t>;
+  std::map<Key, char> fill;   // content of every page that may be resident
+  std::map<Key, bool> dirty;  // exact: dirty pages are never evicted
+
+  auto dirty_bytes_of = [&](int o) {
+    uint64_t n = 0;
+    for (const auto& [key, d] : dirty) {
+      n += (key.first == o && d) ? kPageSize : 0;
+    }
+    return n;
+  };
+  auto total_dirty = [&] {
+    uint64_t n = 0;
+    for (const auto& [key, d] : dirty) {
+      n += d ? kPageSize : 0;
+    }
+    return n;
+  };
+  auto resident = [&](int o) {
+    std::vector<uint64_t> out;
+    for (const auto& [key, _] : fill) {
+      if (key.first == o && pool.HasPage(&owners[o], key.second)) {
+        out.push_back(key.second);
+      }
+    }
+    return out;
+  };
+  auto check_totals = [&] {
+    uint64_t pages = 0;
+    for (int o = 0; o < kOwners; ++o) {
+      pages += resident(o).size();
+      std::vector<uint64_t> want;
+      for (const auto& [key, d] : dirty) {
+        if (key.first == o && d) {
+          want.push_back(key.second);
+        }
+      }
+      ASSERT_EQ(pool.DirtyPages(&owners[o]), want) << "owner " << o;
+      ASSERT_EQ(pool.DirtyBytes(&owners[o]), want.size() * kPageSize) << "owner " << o;
+    }
+    // Every resident page belongs to a tracked key: no orphan survives.
+    ASSERT_EQ(pool.ResidentBytes(), pages * kPageSize);
+    ASSERT_EQ(pool.TotalDirtyBytes(), total_dirty());
+  };
+  auto erase_model = [&](int o, uint64_t first_idx) {
+    for (uint64_t i = first_idx; i < kIdx; ++i) {
+      fill.erase({o, i});
+      dirty.erase({o, i});
+    }
+  };
+
+  for (int step = 0; step < 4000; ++step) {
+    int o = static_cast<int>(rng.Below(kOwners));
+    uint64_t idx = rng.Below(kIdx);
+    Key key{o, idx};
+    char c = static_cast<char>('a' + rng.Below(26));
+    bool want_dirty = rng.Chance(1, 3);
+    // Weighted mix: stores dominate so the pool fills past capacity and
+    // evicts.
+    uint64_t op = rng.Below(40);
+    if (op < 25) {
+      std::array<char, kPageSize> page;
+      page.fill(c);
+      pool.StorePage(&owners[o], idx, page.data(), want_dirty);
+      fill[key] = c;
+      dirty[key] = dirty[key] || want_dirty;
+    } else if (op < 32) {
+      splice::PageRef ref = splice::PageRef::Alloc(kPageSize);
+      std::memset(ref.mutable_data(), c, kPageSize);
+      splice::PageRef holder;  // a second holder makes the ref shared
+      if (rng.Chance(1, 2)) {
+        holder = ref;
+      }
+      pool.StorePageRef(&owners[o], idx, ref, want_dirty, rng.Chance(1, 2));
+      fill[key] = c;
+      dirty[key] = dirty[key] || want_dirty;
+    } else if (op == 32) {
+      auto ref = pool.StealPage(&owners[o], idx);
+      if (dirty[key]) {
+        ASSERT_FALSE(ref.has_value()) << "dirty pages are pinned by writeback";
+        ASSERT_TRUE(pool.HasPage(&owners[o], idx));
+      } else {
+        ASSERT_FALSE(pool.HasPage(&owners[o], idx));
+        fill.erase(key);
+      }
+    } else if (op == 33) {
+      pool.Drop(&owners[o], idx);
+      fill.erase(key);
+      dirty.erase(key);
+    } else if (op == 34) {
+      uint64_t new_size = rng.Below(kIdx) * kPageSize + (rng.Chance(1, 2) ? kPageSize / 2 : 0);
+      uint64_t first_dropped = (new_size + kPageSize - 1) / kPageSize;
+      uint64_t want = 0;
+      for (uint64_t i = first_dropped; i < kIdx; ++i) {
+        want += dirty[{o, i}] ? kPageSize : 0;
+      }
+      ASSERT_EQ(pool.TruncatePages(&owners[o], new_size), want);
+      erase_model(o, first_dropped);
+    } else if (op < 39) {
+      ASSERT_EQ(pool.MarkClean(&owners[o], idx), dirty[key]);
+      dirty[key] = false;
+    } else if (rng.Chance(1, 10)) {
+      pool.DropAllClean();
+      for (auto it = fill.begin(); it != fill.end();) {
+        it = dirty[it->first] ? std::next(it) : fill.erase(it);
+      }
+    } else {
+      std::map<int, std::vector<uint64_t>> others;
+      for (int other = 0; other < kOwners; ++other) {
+        if (other != o) {
+          others[other] = resident(other);
+        }
+      }
+      ASSERT_EQ(pool.DropAll(&owners[o]), dirty_bytes_of(o));
+      erase_model(o, 0);
+      for (uint64_t i = 0; i < kIdx; ++i) {
+        ASSERT_FALSE(pool.HasPage(&owners[o], i)) << "owner " << o << " page " << i;
+      }
+      for (const auto& [other, pages] : others) {
+        ASSERT_EQ(resident(other), pages) << "DropAll touched owner " << other;
+      }
+    }
+    ASSERT_EQ(pool.TotalDirtyBytes(), total_dirty()) << "step " << step;
+    if (step % 50 == 0) {
+      check_totals();
+    }
+  }
+  check_totals();
+  EXPECT_GT(pool.stats().evictions, 0u) << "the mix must exercise eviction";
+  // Resident content is still the last write of its own owner.
+  for (const auto& [key, c] : fill) {
+    char out[kPageSize];
+    if (pool.PeekPage(&owners[key.first], key.second, out)) {
+      EXPECT_EQ(out[0], c) << "owner " << key.first << " page " << key.second;
+    }
+  }
+  for (int o = 0; o < kOwners; ++o) {
+    pool.DropAll(&owners[o]);
+  }
+  EXPECT_EQ(pool.ResidentBytes(), 0u);
+  EXPECT_EQ(pool.TotalDirtyBytes(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PageCacheOwnerIndexTest, ::testing::Values(1, 2, 3, 4, 5));
+
+TEST_F(PageCacheTest, ReusedOwnerAddressSeesNoStalePages) {
+  PageCachePool pool(&clock_, &costs_, 1 << 20);
+  char page[kPageSize];
+  std::memset(page, 'o', sizeof(page));
+  // One address serves two owners in turn, as an inode freed and a new one
+  // allocated at the same address would: the pool only sees the pointer.
+  int slot = 0;
+  const void* addr = &slot;
+  for (uint64_t idx = 0; idx < 64; ++idx) {
+    pool.StorePage(addr, idx, page, /*dirty=*/idx % 3 == 0);
+  }
+  EXPECT_EQ(pool.DropAll(addr), 22 * kPageSize);
+
+  char out[kPageSize];
+  for (uint64_t idx = 0; idx < 64; ++idx) {
+    EXPECT_FALSE(pool.HasPage(addr, idx)) << idx;
+    EXPECT_FALSE(pool.ReadPage(addr, idx, out)) << idx;
+  }
+  EXPECT_TRUE(pool.DirtyPages(addr).empty());
+  EXPECT_EQ(pool.DirtyBytes(addr), 0u);
+  EXPECT_EQ(pool.TruncatePages(addr, 0), 0u);
+  EXPECT_EQ(pool.ResidentBytes(), 0u);
+
+  std::memset(page, 'n', sizeof(page));
+  pool.StorePage(addr, 5, page, /*dirty=*/true);
+  EXPECT_EQ(pool.DirtyPages(addr), (std::vector<uint64_t>{5}));
+  EXPECT_EQ(pool.DropAll(addr), kPageSize);
+  EXPECT_EQ(pool.ResidentBytes(), 0u);
+  EXPECT_EQ(pool.TotalDirtyBytes(), 0u);
+}
 
 }  // namespace
 }  // namespace cntr::kernel

@@ -2,6 +2,8 @@
 // determinism, and the virtual clock.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/util/rng.h"
 #include "src/util/sim_clock.h"
 #include "src/util/status.h"
@@ -70,6 +72,13 @@ struct NormalizeCase {
   const char* input;
   const char* expected;
 };
+
+// Prints the case by value. Without this gtest prints the raw pointer bytes,
+// which vary with the load address, so the test names ctest discovers would
+// change from one build to the next.
+void PrintTo(const NormalizeCase& c, std::ostream* os) {
+  *os << '"' << c.input << "\" -> \"" << c.expected << '"';
+}
 
 class NormalizePathTest : public ::testing::TestWithParam<NormalizeCase> {};
 
