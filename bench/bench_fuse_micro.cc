@@ -2,10 +2,13 @@
 // from the virtual clock): per-op request latency through CntrFS vs the
 // native filesystem. Supporting data for Figure 2's per-workload analysis,
 // plus the READDIRPLUS before/after bars for the cold-tree-walk hot path.
+// One case runs in real time instead: the page-cache insert under dirty
+// pressure, whose cost is CPU work that charges no virtual time.
 #include <benchmark/benchmark.h>
 
 #include <string>
 
+#include "src/kernel/page_cache.h"
 #include "src/workloads/harness.h"
 
 using namespace cntr;
@@ -147,6 +150,37 @@ void RunColdWalkBench(benchmark::State& state, bool through_cntr, bool readdirpl
   state.counters["files"] = kWalkFiles;
 }
 
+// Wall-clock cost of one clean-page insert into a full single-shard pool
+// whose cold end holds state.range(0) dirty pages: each insert evicts the
+// coldest clean page, which sits behind that pinned run. With
+// kMaxPinnedRun dirty pages this is the most an eviction can pass over
+// and still find a victim.
+void BM_PageCacheInsertUnderDirtyPressure(benchmark::State& state) {
+  constexpr uint64_t kCapacityPages = 1024;
+  SimClock clock;
+  CostModel costs;
+  kernel::PageCachePool pool(&clock, &costs, kCapacityPages * kernel::kPageSize, 1);
+  const uint64_t dirty_run = static_cast<uint64_t>(state.range(0));
+  int dirty_owner = 0;
+  int clean_owner = 0;
+  char page[kernel::kPageSize] = {};
+  for (uint64_t i = 0; i < dirty_run; ++i) {
+    pool.StorePage(&dirty_owner, i, page, /*dirty=*/true);
+  }
+  uint64_t idx = 0;
+  while (pool.ResidentBytes() < pool.capacity_bytes()) {
+    pool.StorePage(&clean_owner, idx++, page, /*dirty=*/false);
+  }
+  uint64_t evictions_before = pool.stats().evictions;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pool.StorePage(&clean_owner, idx++, page, /*dirty=*/false));
+  }
+  if (pool.stats().evictions - evictions_before != state.iterations()) {
+    state.SkipWithError("an insert did not evict exactly one page");
+  }
+  state.counters["dirty_run"] = static_cast<double>(dirty_run);
+}
+
 void BM_CreateUnlink_Native(benchmark::State& state) {
   RunOpBench(state, false, CreateUnlinkOp);
 }
@@ -178,5 +212,8 @@ BENCHMARK(BM_Write4k_CntrFs)->UseManualTime()->Iterations(2000);
 BENCHMARK(BM_ColdTreeWalk_Native)->UseManualTime()->Iterations(50);
 BENCHMARK(BM_ColdTreeWalk_CntrFs)->UseManualTime()->Iterations(50);
 BENCHMARK(BM_ColdTreeWalk_CntrFsNoReaddirPlus)->UseManualTime()->Iterations(50);
+BENCHMARK(BM_PageCacheInsertUnderDirtyPressure)
+    ->Arg(0)
+    ->Arg(cntr::kernel::PageCachePool::kMaxPinnedRun);
 
 BENCHMARK_MAIN();

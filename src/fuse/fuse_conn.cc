@@ -528,14 +528,14 @@ StatusOr<size_t> FuseConn::SetLaneCapacity(size_t bytes) {
   std::lock_guard<analysis::CheckedMutex> config(config_mu_);
   // Best effort across the whole channel set: a failure on one lane (EBUSY
   // with payload in flight) must not strand the rest at a different size.
-  StatusOr<size_t> result = Status::Error(EINVAL);
+  std::optional<size_t> applied;
   std::optional<Status> first_error;
   for (const auto& ch : owned_channels_) {
     for (size_t i = 0; i < kLanePoolSize; ++i) {
       for (auto* lane : {ch->lane_in[i].get(), ch->lane_out[i].get()}) {
         auto cap = lane->SetCapacity(bytes);
         if (cap.ok()) {
-          result = cap.value();
+          applied = cap.value();
         } else if (!first_error.has_value()) {
           first_error = cap.status();
         }
@@ -545,7 +545,10 @@ StatusOr<size_t> FuseConn::SetLaneCapacity(size_t bytes) {
   if (first_error.has_value()) {
     return *first_error;
   }
-  return result;
+  if (!applied.has_value()) {
+    return Status::Error(EINVAL);  // no lanes
+  }
+  return *applied;
 }
 
 void FuseConn::FinishInFlight() {

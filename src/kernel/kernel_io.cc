@@ -11,8 +11,10 @@ namespace cntr::kernel {
 
 namespace {
 
+bool IsDotName(std::string_view name) { return name == "." || name == ".."; }
+
 bool IsValidName(const std::string& name) {
-  return !name.empty() && name != "." && name != ".." && name.find('/') == std::string::npos;
+  return !name.empty() && !IsDotName(name) && name.find('/') == std::string::npos;
 }
 
 CNTR_FAULT_POINT(kFaultSplice, "kernel.splice");
@@ -354,7 +356,7 @@ Status Kernel::Rmdir(Process& proc, const std::string& path) {
   CNTR_RETURN_IF_ERROR(CheckLsm(proc, path, /*write_access=*/true));
   CNTR_ASSIGN_OR_RETURN(auto parent, ResolveParent(proc, path));
   auto& [dir, name] = parent;
-  if (name == "." || name == "..") {
+  if (IsDotName(name)) {
     return Status::Error(EINVAL);
   }
   CNTR_ASSIGN_OR_RETURN(InodeAttr dir_attr, dir.inode->Getattr());

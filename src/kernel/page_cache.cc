@@ -32,7 +32,7 @@ bool PageCachePool::ReadPage(CacheOwner owner, uint64_t idx, char* out) {
   hits_.fetch_add(1, std::memory_order_relaxed);
   clock_->Advance(costs_->page_cache_hit_ns);
   std::memcpy(out, it->second.data.get(), kPageSize);
-  TouchLocked(shard, it->second, it->first);
+  TouchLocked(shard, it->second);
   return true;
 }
 
@@ -60,7 +60,7 @@ bool PageCachePool::StorePage(CacheOwner owner, uint64_t idx, const char* data, 
     if (dirty) {
       ++it->second.gen;
     }
-    TouchLocked(shard, it->second, key);
+    TouchLocked(shard, it->second);
     if (was_dirty) {
       dirty = false;  // already accounted
     }
@@ -85,7 +85,7 @@ PageCachePool::UpdateResult PageCachePool::UpdatePage(CacheOwner owner, uint64_t
   }
   EnsureExclusiveLocked(it->second, /*preserve_content=*/true);
   std::memcpy(it->second.data.get() + off, src, len);
-  TouchLocked(shard, it->second, it->first);
+  TouchLocked(shard, it->second);
   if (mark_dirty) {
     ++it->second.gen;
   }
@@ -138,6 +138,7 @@ bool PageCachePool::MarkCleanIfGen(CacheOwner owner, uint64_t idx, uint64_t gen)
     return false;  // re-dirtied since the flusher's snapshot: stays dirty
   }
   it->second.dirty = false;
+  LeaveRunLocked(shard, it->second);
   dirty_bytes_total_.fetch_sub(kPageSize, std::memory_order_relaxed);
   auto dit = shard.dirty.find(owner);
   if (dit != shard.dirty.end()) {
@@ -246,7 +247,7 @@ std::optional<splice::PageRef> PageCachePool::GetPageRef(CacheOwner owner, uint6
   hits_.fetch_add(1, std::memory_order_relaxed);
   // The remap out of the cache, not a copy: splice rate, not hit+copy.
   clock_->Advance(costs_->splice_page_ns);
-  TouchLocked(shard, it->second, it->first);
+  TouchLocked(shard, it->second);
   splice::PageRef ref;
   ref.page = it->second.data;
   ref.len = kPageSize;
@@ -293,7 +294,7 @@ PageCachePool::StoreRefResult PageCachePool::StorePageRef(CacheOwner owner, uint
     if (dirty) {
       ++it->second.gen;
     }
-    TouchLocked(shard, it->second, key);
+    TouchLocked(shard, it->second);
     if (was_dirty) {
       count_dirty = false;  // already accounted
     }
@@ -342,13 +343,13 @@ void PageCachePool::EnsureExclusiveLocked(Page& page, bool preserve_content) {
 
 void PageCachePool::InsertPageLocked(Shard& shard, const Key& key,
                                      std::shared_ptr<char[]> data, bool dirty) {
-  shard.lru.push_front(key);
   Page& page = shard.pages.try_emplace(key).first->second;
   page.data = std::move(data);
   page.dirty = dirty;
   page.gen = dirty ? 1 : 0;
-  page.lru_it = shard.lru.begin();
+  page.owner = key.owner;
   page.idx = key.idx;
+  PushLruLocked(shard, page);
   Page*& head = shard.owner_pages[key.owner];
   page.owner_next = head;
   if (head != nullptr) {
@@ -378,7 +379,8 @@ PageCachePool::PageMap::iterator PageCachePool::ErasePageLocked(Shard& shard,
       dit->second.erase(key.idx);
     }
   }
-  shard.lru.erase(page.lru_it);
+  LeaveRunLocked(shard, page);
+  UnlinkLruLocked(shard, page);
   return shard.pages.erase(it);
 }
 
@@ -402,30 +404,67 @@ uint64_t PageCachePool::DropOwnerPagesLocked(Shard& shard, CacheOwner owner,
   return dropped_dirty;
 }
 
-void PageCachePool::TouchLocked(Shard& shard, Page& page, const Key& /*key*/) {
-  shard.lru.splice(shard.lru.begin(), shard.lru, page.lru_it);
-  page.lru_it = shard.lru.begin();
+void PageCachePool::TouchLocked(Shard& shard, Page& page) {
+  LeaveRunLocked(shard, page);
+  if (shard.lru_head == &page) {
+    return;
+  }
+  UnlinkLruLocked(shard, page);
+  PushLruLocked(shard, page);
+}
+
+void PageCachePool::PushLruLocked(Shard& shard, Page& page) {
+  page.lru_prev = nullptr;
+  page.lru_next = shard.lru_head;
+  if (shard.lru_head != nullptr) {
+    shard.lru_head->lru_prev = &page;
+  } else {
+    shard.lru_tail = &page;
+  }
+  shard.lru_head = &page;
+}
+
+void PageCachePool::UnlinkLruLocked(Shard& shard, Page& page) {
+  if (page.lru_prev != nullptr) {
+    page.lru_prev->lru_next = page.lru_next;
+  } else {
+    shard.lru_head = page.lru_next;
+  }
+  if (page.lru_next != nullptr) {
+    page.lru_next->lru_prev = page.lru_prev;
+  } else {
+    shard.lru_tail = page.lru_prev;
+  }
+}
+
+void PageCachePool::LeaveRunLocked(Shard& shard, const Page& page) {
+  if (page.run_epoch == shard.run_epoch) {
+    ++shard.run_epoch;
+    shard.run_end = nullptr;
+    shard.run_len = 0;
+  }
 }
 
 void PageCachePool::EvictIfNeededLocked(Shard& shard) {
-  while (shard.pages.size() * kPageSize > capacity_per_shard_ && !shard.lru.empty()) {
+  while (shard.pages.size() * kPageSize > capacity_per_shard_) {
     // Scan from the cold end for a clean victim; dirty pages are pinned.
-    auto victim = shard.pages.end();
-    size_t scanned = 0;
-    for (auto it = std::prev(shard.lru.end());; --it) {
-      auto pit = shard.pages.find(*it);
-      if (pit != shard.pages.end() && !pit->second.dirty) {
-        victim = pit;
+    // The scan resumes past the dirty run an earlier call walked, which
+    // stays valid until one of its pages is touched, cleaned or erased.
+    Page* victim = nullptr;
+    while (shard.run_len <= kMaxPinnedRun) {
+      Page* page = shard.run_end != nullptr ? shard.run_end->lru_prev : shard.lru_tail;
+      if (page == nullptr || !page->dirty) {
+        victim = page;
         break;
       }
-      if (++scanned > 128 || it == shard.lru.begin()) {
-        break;  // all-cold pages dirty: allow transient overshoot
-      }
+      page->run_epoch = shard.run_epoch;
+      shard.run_end = page;
+      ++shard.run_len;
     }
-    if (victim == shard.pages.end()) {
-      return;
+    if (victim == nullptr) {
+      return;  // all cold pages dirty: allow transient overshoot
     }
-    ErasePageLocked(shard, victim);
+    ErasePageLocked(shard, shard.pages.find(Key{victim->owner, victim->idx}));
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }

@@ -20,9 +20,18 @@
 //
 // Eviction policy: clean pages are evicted LRU; dirty pages are pinned until
 // their owner flushes them (owners flush on fsync, on dirty thresholds, and
-// on release), at which point they become clean and evictable. The pool may
-// transiently exceed capacity if everything is dirty, exactly like a kernel
-// under writeback pressure.
+// on release), at which point they become clean and evictable. The victim is
+// the first clean page among the kMaxPinnedRun + 1 coldest LRU entries of the
+// shard; if those are all dirty the pool transiently exceeds capacity,
+// exactly like a kernel under writeback pressure.
+//
+// Eviction cost: the LRU is threaded through the pages themselves, so a scan
+// step is a pointer hop, not a hash lookup. Each shard also remembers the
+// cold dirty run its last scan walked (its warmest page and its length), and
+// the next eviction resumes past it; touching, cleaning or erasing a page of
+// that run forgets it. Under dirty pressure every insert would otherwise
+// re-walk up to kMaxPinnedRun pinned pages. Neither changes which page is
+// evicted.
 #ifndef CNTR_SRC_KERNEL_PAGE_CACHE_H_
 #define CNTR_SRC_KERNEL_PAGE_CACHE_H_
 
@@ -30,7 +39,6 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -52,6 +60,10 @@ using CacheOwner = const void*;
 
 class PageCachePool {
  public:
+  // The longest run of cold dirty pages eviction looks past for a clean
+  // victim.
+  static constexpr size_t kMaxPinnedRun = 128;
+
   PageCachePool(SimClock* clock, const CostModel* costs, uint64_t capacity_bytes,
                 size_t num_shards = 16);
 
@@ -192,12 +204,18 @@ class PageCachePool {
     // Bumped every time dirty content lands on the page; lets concurrent
     // writeback detect re-dirtying between snapshot and MarkCleanIfGen.
     uint64_t gen = 0;
-    std::list<Key>::iterator lru_it;
-    // The owner's chain through this shard (see "Per-owner index" above).
-    // Map nodes never move, so the links stay valid until the page is
-    // erased. `idx` repeats the key's page index so a chain walk can find
-    // the map node.
+    // The page's key, repeated so an LRU scan or an owner-chain walk can
+    // find the map node.
+    CacheOwner owner = nullptr;
     uint64_t idx = 0;
+    // The shard's LRU and the owner's chain through this shard (see
+    // "Per-owner index" above). Map nodes never move, so the links stay
+    // valid until the page is erased.
+    Page* lru_prev = nullptr;  // warmer neighbour
+    Page* lru_next = nullptr;  // colder neighbour
+    // Equals the shard's run_epoch while the page is in the shard's scanned
+    // cold dirty run.
+    uint64_t run_epoch = 0;
     Page* owner_prev = nullptr;
     Page* owner_next = nullptr;
   };
@@ -208,7 +226,14 @@ class PageCachePool {
   struct alignas(64) Shard {
     mutable analysis::CheckedMutex mu{"kernel.pagecache.shard"};
     PageMap pages;
-    std::list<Key> lru;  // front = most recent
+    Page* lru_head = nullptr;  // most recent
+    Page* lru_tail = nullptr;  // coldest
+    // Eviction cursor: the run_len coldest pages are all dirty, run_end is
+    // the warmest of them, and each carries run_epoch. Bumping run_epoch
+    // forgets the run in O(1).
+    Page* run_end = nullptr;
+    size_t run_len = 0;
+    uint64_t run_epoch = 1;
     // Head of each owner's page chain; an owner with no page here has no
     // entry.
     std::unordered_map<CacheOwner, Page*> owner_pages;
@@ -229,7 +254,12 @@ class PageCachePool {
   // Erases the owner's pages in this shard with index >= first_idx, walking
   // only the owner's chain. Returns the dirty bytes erased.
   uint64_t DropOwnerPagesLocked(Shard& shard, CacheOwner owner, uint64_t first_idx);
-  void TouchLocked(Shard& shard, Page& page, const Key& key);
+  // Moves a page to the LRU head.
+  static void TouchLocked(Shard& shard, Page& page);
+  static void PushLruLocked(Shard& shard, Page& page);
+  static void UnlinkLruLocked(Shard& shard, Page& page);
+  // Forgets the shard's eviction cursor if `page` is in its dirty run.
+  static void LeaveRunLocked(Shard& shard, const Page& page);
   void EvictIfNeededLocked(Shard& shard);
   // Un-shares a page before mutation (COW break); charges a page copy when
   // outside references exist. `preserve_content` copies the old bytes into
