@@ -24,11 +24,11 @@
 //   (i) failure-plane hook overhead — fault probes, deadline stamping and
 //       the admission gate armed but never firing vs. a plain mount
 //       (guarded <=2%; docs/robustness.md).
-//   (j) submission rings — GETATTR storm and 4KB random-read ops/sec on the
-//       SQ/CQ ring transport vs. the per-request wakeup handshake
+//   (j) submission rings — GETATTR storm and 4KB random-read ops/sec under
+//       the ring cost profile vs. the per-request wakeup cost profile
 //       (target >= 1.5x on the GETATTR storm; docs/transport.md).
-//       Panels (a)-(i) are pinned rings-off so their numbers stay
-//       bit-identical to the pre-ring baselines.
+//       Panels (a)-(i) are pinned to the wakeup profile so their numbers
+//       stay bit-identical to the pre-ring baselines.
 //   (k) observability plane overhead — the panel (j) GETATTR storm and the
 //       panel (f) spliced read/write with tracing off vs. on (guarded <=2%;
 //       docs/observability.md). The traced runs also publish per-opcode
@@ -62,9 +62,11 @@ using cntr::fuse::FuseMountOptions;
 
 namespace {
 
-// Panels (a)-(i) predate the submission-ring transport and are regression-
-// guarded bit-for-bit: they run on the wakeup path so this PR's transport
-// change cannot move their numbers. Panel (j) measures the rings themselves.
+// Panels (a)-(i) predate the ring cost profile and are regression-guarded
+// bit-for-bit: the mount never offers kFuseRingSubmission, so it keeps the
+// paper-era wakeup cost profile (a round trip plus the contention premium
+// per request) and transport work cannot move their numbers. Panel (j)
+// measures the ring profile itself.
 FuseMountOptions OptimizedNoRings() {
   FuseMountOptions o = FuseMountOptions::Optimized();
   o.ring_enabled = false;
@@ -462,8 +464,8 @@ double RunProxyThroughput(bool segment_splice) {
 // Per-op payloads are tiny, so the per-request transport handshake IS the
 // cost. This is the shape the submission rings target: sqe + doorbell + cqe
 // (3250ns) against the 6000ns wakeup round trip, with multi-reap burst
-// amortization on the server side. Panels (a)-(i) run rings-off; these two
-// run both transports on otherwise identical mounts.
+// amortization on the server side. Panels (a)-(i) run the wakeup profile;
+// these two run both profiles on otherwise identical mounts.
 
 // Stat storm over a small working set with the attribute cache disabled:
 // every stat() is a dcache hit plus one GETATTR round trip, nothing else —
@@ -834,8 +836,8 @@ int main(int argc, char** argv) {
     std::printf("    worst overhead %.2f%%   (target: <=2%%)\n\n", overhead);
   }
 
-  // (j) Submission rings: small-op storms, SQ/CQ ring transport vs. the
-  // per-request wakeup handshake on otherwise identical mounts. Tiny
+  // (j) Submission rings: small-op storms, ring cost profile vs. the
+  // per-request wakeup cost profile on otherwise identical mounts. Tiny
   // payloads make the handshake the dominant per-op cost, so the ring's
   // cheaper round trip (and the server's multi-reap of queued bursts) shows
   // up directly in ops/sec.

@@ -49,14 +49,30 @@ struct ThreadState {
   bool in_hook = false;
 };
 
-// Leaked per-thread state: hooks can run from static destructors and
-// thread-exit paths, after ordinary thread_local objects are gone. One
-// small vector per thread that ever held a checked lock is an acceptable
-// price for a validator that can never crash on teardown order.
-ThreadState& TS() {
-  thread_local ThreadState* ts = nullptr;
-  if (ts == nullptr) ts = new ThreadState();
-  return *ts;
+// Per-thread state, freed when its thread exits. Hooks can still run after
+// that, from thread_local or static destructors that run later on the same
+// thread: they find no state and skip validation, so the validator never
+// touches freed memory whatever the teardown order. The two trivially
+// destructible thread_locals below stay usable for the whole thread exit.
+thread_local ThreadState* tls_state = nullptr;
+thread_local bool tls_state_freed = false;
+
+struct ThreadStateReaper {
+  ~ThreadStateReaper() {
+    delete tls_state;
+    tls_state = nullptr;
+    tls_state_freed = true;
+  }
+};
+
+// Null once the calling thread's exit has freed its state.
+ThreadState* TS() {
+  if (tls_state == nullptr && !tls_state_freed) {
+    thread_local ThreadStateReaper reaper;  // frees the state at thread exit
+    (void)reaper;
+    tls_state = new ThreadState();
+  }
+  return tls_state;
 }
 
 struct HookScope {
@@ -340,9 +356,10 @@ void LockdepResetForTest() {
   }
   ChainCacheClear();
   g_report_count.store(0, std::memory_order_relaxed);
-  ThreadState& ts = TS();
-  ts.held.clear();
-  ts.chain_key = kChainSeed;
+  if (ThreadState* ts = TS()) {
+    ts->held.clear();
+    ts->chain_key = kChainSeed;
+  }
 }
 
 size_t LockdepEdgeCount() {
@@ -366,8 +383,9 @@ uint32_t ResolveNode(const char* lock_class, uint32_t subclass) {
 }
 
 void OnAcquire(uint32_t node, const char* name, Mode mode, bool trylock) {
-  ThreadState& ts = TS();
-  if (ts.in_hook) return;
+  ThreadState* state = TS();
+  if (state == nullptr || state->in_hook) return;
+  ThreadState& ts = *state;
   HookScope scope(ts);
 
   if (!trylock) {
@@ -444,8 +462,9 @@ void OnAcquire(uint32_t node, const char* name, Mode mode, bool trylock) {
 }
 
 void OnRelease(uint32_t node) {
-  ThreadState& ts = TS();
-  if (ts.in_hook) return;
+  ThreadState* state = TS();
+  if (state == nullptr || state->in_hook) return;
+  ThreadState& ts = *state;
   HookScope scope(ts);
   for (size_t i = ts.held.size(); i-- > 0;) {
     if (ts.held[i].node != node) continue;
@@ -479,8 +498,9 @@ void OnRelease(uint32_t node) {
 
 void OnCondWait(uint32_t cv_node, const char* name) {
   (void)name;
-  ThreadState& ts = TS();
-  if (ts.in_hook) return;
+  ThreadState* state = TS();
+  if (state == nullptr || state->in_hook) return;
+  ThreadState& ts = *state;
   HookScope scope(ts);
   if (ts.held.empty()) return;
 
@@ -513,8 +533,9 @@ void OnCondWait(uint32_t cv_node, const char* name) {
 
 void OnCondNotify(uint32_t cv_node, const char* name) {
   (void)name;
-  ThreadState& ts = TS();
-  if (ts.in_hook) return;
+  ThreadState* state = TS();
+  if (state == nullptr || state->in_hook) return;
+  ThreadState& ts = *state;
   HookScope scope(ts);
   if (ts.held.empty()) return;
 

@@ -230,16 +230,12 @@ void FuseConn::RecordOutcome(FuseOpcode op, const obs::SpanPtr& span,
 
 FuseConn::~FuseConn() { StopSweeper(); }
 
-void FuseConn::InstallChannels(size_t n) {
+void FuseConn::InstallChannels(size_t n, bool inherit) {
+  const size_t depth = ring_depth();
   for (size_t i = 0; i < n; ++i) {
-    auto ch = std::make_unique<FuseChannel>();
-    if (ring_enabled_.load(std::memory_order_acquire)) {
-      // A reshape after the ring switch keeps every channel on the ring
-      // transport (mixed-mode channels would split the unique encoding).
-      ch->ring_owner = std::make_unique<RingState>(
-          ring_depth_.load(std::memory_order_acquire),
-          ring_spin_budget_.load(std::memory_order_acquire));
-      ch->ring.store(ch->ring_owner.get(), std::memory_order_release);
+    auto ch = std::make_unique<FuseChannel>(depth);
+    if (inherit) {
+      ch->InheritFrom(*channel_table_[i].load(std::memory_order_acquire));
     }
     owned_channels_.push_back(std::move(ch));
     channel_table_[i].store(owned_channels_.back().get(), std::memory_order_release);
@@ -248,28 +244,22 @@ void FuseConn::InstallChannels(size_t n) {
 }
 
 size_t FuseConn::ConfigureRing(size_t depth, uint32_t spin_budget) {
-  if (depth == 0) {
-    return 0;  // opt out: stay on the wakeup path
-  }
-  std::lock_guard<analysis::CheckedMutex> config(config_mu_);
-  if (ring_enabled()) {
-    // Rings are fixed for the connection's life: replacing a published
-    // RingState under a concurrently scanning worker would free memory it
-    // may still hold. A different geometry needs a fresh connection.
-    return ring_depth();
-  }
-  if (aborted() || queued_total_.load() != 0) {
+  // Exclusive, like TryReshapeChannels: proves no submitter is inside its
+  // send window, so no request straddles the profile switch or holds a
+  // channel the rebuild below replaces. Non-blocking: a busy connection
+  // refuses the switch.
+  std::unique_lock<analysis::CheckedSharedMutex> reshape(reshape_mu_, std::try_to_lock);
+  if (!reshape.owns_lock()) {
     return 0;
   }
-  // Like ConfigureChannels, the switch is only honoured on a quiet
-  // connection: in-flight legacy uniques do not carry a slot index, so they
-  // could never be completed through a ring. Parked readers are fine — they
-  // discover the rings on their next scan.
-  for (const auto& ch : owned_channels_) {
-    std::lock_guard<analysis::CheckedMutex> lock(ch->mu);
-    if (!ch->pending.empty() || !ch->queue.empty()) {
-      return 0;
-    }
+  std::lock_guard<analysis::CheckedMutex> config(config_mu_);
+  if (profile() == TransportProfile::kRing) {
+    // One-shot: a different geometry needs a fresh connection.
+    return ring_depth();
+  }
+  if (aborted() || queued_total_.load() != 0 ||
+      in_flight_.load(std::memory_order_acquire) != 0) {
+    return 0;
   }
   size_t d = std::clamp(depth, kMinRingDepth, kMaxRingDepth);
   // Round up to a power of two (the MPMC ring and the slot mask need it).
@@ -277,13 +267,12 @@ size_t FuseConn::ConfigureRing(size_t depth, uint32_t spin_budget) {
   while (pow2 < d) {
     pow2 <<= 1;
   }
-  ring_depth_.store(pow2, std::memory_order_release);
-  ring_spin_budget_.store(spin_budget == 0 ? 1 : spin_budget, std::memory_order_release);
-  for (const auto& ch : owned_channels_) {
-    ch->ring_owner = std::make_unique<RingState>(pow2, spin_budget);
-    ch->ring.store(ch->ring_owner.get(), std::memory_order_release);
+  if (pow2 != ring_depth()) {
+    ring_depth_.store(pow2, std::memory_order_release);
+    InstallChannels(num_channels(), /*inherit=*/true);
   }
-  ring_enabled_.store(true, std::memory_order_release);
+  ring_spin_budget_.store(spin_budget == 0 ? 1 : spin_budget, std::memory_order_release);
+  profile_.store(TransportProfile::kRing, std::memory_order_release);
   RecomputeSpinBudget();
   return pow2;
 }
@@ -297,16 +286,10 @@ size_t FuseConn::ConfigureChannels(size_t requested) {
   // sender racing this (a protocol violation — the server reshapes before
   // it starts answering) only ever sees valid memory.
   if (n != num_channels() && reader_threads_.load() == 0 &&
-      queued_total_.load() == 0 && !aborted()) {
-    bool busy = false;
-    for (const auto& ch : owned_channels_) {
-      std::lock_guard<analysis::CheckedMutex> lock(ch->mu);
-      busy |= !ch->pending.empty() || !ch->queue.empty();
-    }
-    if (!busy) {
-      InstallChannels(n);
-      RecomputeSpinBudget();
-    }
+      queued_total_.load() == 0 && in_flight_.load(std::memory_order_acquire) == 0 &&
+      !aborted()) {
+    InstallChannels(n);
+    RecomputeSpinBudget();
   }
   return num_channels();
 }
@@ -328,10 +311,6 @@ size_t FuseConn::TryReshapeChannels(size_t requested) {
   }
   size_t lane_cap = 0;
   for (const auto& ch : owned_channels_) {
-    std::lock_guard<analysis::CheckedMutex> lock(ch->mu);
-    if (!ch->pending.empty() || !ch->queue.empty()) {
-      return num_channels();
-    }
     lane_cap = std::max(lane_cap, ch->lane_out[0]->capacity());
   }
   InstallChannels(n);
@@ -630,6 +609,24 @@ void FuseConn::RecomputeSpinBudget() {
   effective_spin_budget_.store(budget, std::memory_order_release);
 }
 
+uint64_t FuseConn::SubmitCostNs(const FuseChannel& ch) const {
+  if (profile() == TransportProfile::kRing) {
+    // SQ producers and the reaping consumer never contend on a queue lock:
+    // no per-reader premium.
+    return costs_->fuse_ring_sqe_ns;
+  }
+  // One round trip: enqueue + server wakeup + reply + caller wakeup. With
+  // more than one server thread homed on this channel, each dequeue pays a
+  // small contention premium (futex churn, cacheline bouncing) — per
+  // channel, which is the whole point of cloning the queue.
+  uint64_t cost = costs_->fuse_round_trip_ns;
+  int readers = ch.readers.load(std::memory_order_relaxed);
+  if (readers > 1) {
+    cost += static_cast<uint64_t>(readers - 1) * costs_->fuse_thread_contention_ns;
+  }
+  return cost;
+}
+
 StatusOr<FuseReply> FuseConn::SendAndWait(FuseRequest request) {
   if (faults_ != nullptr) {
     if (auto hit = faults_->Check(kFaultConnEnqueue)) {
@@ -681,148 +678,21 @@ StatusOr<FuseReply> FuseConn::SendAndWait(FuseRequest request) {
   std::shared_lock<analysis::CheckedSharedMutex> reshape(reshape_mu_);
   size_t ch_idx = RouteChannel(request.pid);
   FuseChannel& ch = Channel(ch_idx);
-  if (RingState* ring = ch.ring.load(std::memory_order_acquire)) {
-    RingPostActions post;
-    StatusOr<FuseReply> result =
-        RingSendAndWait(ch, *ring, ch_idx, std::move(request), &post);
-    // Wakeups and connection teardown are delivered after the reshape
-    // window closes: notifying sq_cv (or sweeping every channel's waiters
-    // in Abort) while still pinning the channel topology is the
-    // reshape_mu_ <-> cv wait cycle lockdep flags. The ring outlives the
-    // unlock — channels (and their rings) stay in owned_channels_ until
-    // the connection dies.
-    reshape.unlock();
-    if (post.wake_submitters) {
-      RingWakeSubmitters(*ring);
-    }
-    if (post.abort_conn) {
-      Abort();
-    }
-    return result;
+  RingPostActions post;
+  StatusOr<FuseReply> result = RingSendAndWait(ch, ch_idx, std::move(request), &post);
+  // Wakeups and connection teardown are delivered after the reshape window
+  // closes: notifying sq_cv (or sweeping every channel's waiters in Abort)
+  // while still pinning the channel topology is the reshape_mu_ <-> cv wait
+  // cycle lockdep flags. The ring outlives the unlock — channels (and their
+  // rings) stay in owned_channels_ until the connection dies.
+  reshape.unlock();
+  if (post.wake_submitters) {
+    RingWakeSubmitters(ch.ring);
   }
-  uint64_t unique = MakeUnique(ch_idx);
-  request.unique = unique;
-  request.channel = static_cast<uint32_t>(ch_idx);
-  request.lane = SimClock::current_lane();
-  const FuseOpcode op = request.opcode;
-  // Enqueue stamp before any transport charge, so the queue phase carries
-  // everything the caller pays between submit and server pickup (payload
-  // gating, backlog wait, the round-trip charge itself).
-  request.span = obs::MakeSpan(clock_->NowNs());
-  obs::SpanPtr span = request.span;
-  GateRequestPayload(ch, request);
-  const bool req_spliced = request.spliced;
-
-  // One round trip: enqueue + server wakeup + reply + caller wakeup. With
-  // more than one server thread homed on this channel, each dequeue pays a
-  // small contention premium (futex churn, cacheline bouncing) — per
-  // channel, which is the whole point of cloning the queue.
-  uint64_t cost = costs_->fuse_round_trip_ns;
-  int readers = ch.readers.load(std::memory_order_relaxed);
-  if (readers > 1) {
-    cost += static_cast<uint64_t>(readers - 1) * costs_->fuse_thread_contention_ns;
+  if (post.abort_conn) {
+    Abort();
   }
-
-  std::unique_lock<analysis::CheckedMutex> lock(ch.mu);
-  if (aborted()) {
-    clock_->Advance(cost);
-    FinishInFlight();
-    RecordOutcome(op, span, obs::Outcome::kAbort, req_spliced);
-    return Status::Error(ENOTCONN, "fuse connection aborted");
-  }
-  // Channel occupancy: on parallel lanes, arriving at a busy channel means
-  // waiting out its backlog first (the single-queue plateau). On the shared
-  // timeline every thread's advances already sum, so the backlog wait is
-  // implicit and charging it again would double-count.
-  if (request.lane != nullptr) {
-    uint64_t now = clock_->NowNs();
-    uint64_t busy = ch.busy_until_ns.load(std::memory_order_relaxed);
-    if (busy > now) {
-      clock_->Advance(busy - now);
-    }
-  }
-  clock_->Advance(cost);
-  BumpBusyUntil(ch, clock_->NowNs());
-
-  requests_->Add();
-  ch.enqueued.fetch_add(1, std::memory_order_relaxed);
-  {
-    FuseChannel::PendingReply entry;
-    entry.pid = request.pid;
-    uint64_t deadline = deadline_ns_.load(std::memory_order_acquire);
-    if (deadline != 0) {
-      entry.deadline_ns = clock_->NowNs() + deadline;
-      entry.enqueued_real = std::chrono::steady_clock::now();
-    }
-    ch.pending.emplace(unique, std::move(entry));
-  }
-  ch.queue.push_back(std::move(request));
-  if (ch.queue.size() > ch.max_depth.load(std::memory_order_relaxed)) {
-    ch.max_depth.store(ch.queue.size(), std::memory_order_relaxed);  // ch.mu held
-  }
-  queued_total_.fetch_add(1);  // seq_cst: pairs with NotifyWork fast path
-  lock.unlock();
-  NotifyWork();
-
-  lock.lock();
-  auto it = ch.pending.find(unique);
-  ch.reply_cv.wait(lock, [&] {
-    return it->second.done || it->second.timed_out || it->second.interrupted || aborted();
-  });
-  if (!it->second.done) {
-    bool timed_out = it->second.timed_out;
-    bool interrupted = it->second.interrupted;
-    uint64_t deadline_abs = it->second.deadline_ns;
-    ch.pending.erase(it);
-    lock.unlock();
-    // Nothing below touches the channel set, and the timeout branch can
-    // escalate to Abort() — which sweeps and notifies every channel's
-    // reply_cv. Other submitters park on reply_cv holding reshape_mu_
-    // shared, so the sweep must not run under it (lockdep: reply_cv <->
-    // reshape_mu_ wait cycle).
-    reshape.unlock();
-    FinishInFlight();
-    if (timed_out) {
-      // Model the wait the caller actually endured: the request ran out its
-      // full deadline on the caller's own timeline.
-      uint64_t now = clock_->NowNs();
-      if (deadline_abs > now) {
-        clock_->Advance(deadline_abs - now);
-      }
-      // Stalled-server degradation: enough deadline misses in a row and the
-      // connection is declared dead rather than timing out forever.
-      uint32_t misses = consecutive_timeouts_.fetch_add(1, std::memory_order_acq_rel) + 1;
-      uint32_t abort_after = abort_after_timeouts_.load(std::memory_order_acquire);
-      if (abort_after != 0 && misses >= abort_after && !aborted()) {
-        Abort();
-      }
-      RecordOutcome(op, span, obs::Outcome::kTimeout, req_spliced);
-      return Status::Error(ETIMEDOUT, "fuse request deadline expired");
-    }
-    if (interrupted) {
-      RecordOutcome(op, span, obs::Outcome::kInterrupt, req_spliced);
-      return Status::Error(EINTR, "fuse request interrupted");
-    }
-    RecordOutcome(op, span, obs::Outcome::kAbort, req_spliced);
-    return Status::Error(ENOTCONN, "fuse connection aborted");
-  }
-  FuseReply reply = std::move(it->second.reply);
-  ch.pending.erase(it);
-  lock.unlock();
-  FinishInFlight();
-  consecutive_timeouts_.store(0, std::memory_order_release);
-  if (reply.spliced) {
-    // Consume the lane bytes this reply occupied since WriteReply; the page
-    // identity arrived with the reply itself.
-    ch.lane_out[reply.lane_idx % kLanePoolSize]->DrainBytes(reply.payload_bytes());
-  }
-  RecordOutcome(op, span,
-                reply.error != 0 ? obs::Outcome::kError : obs::Outcome::kOk,
-                req_spliced || reply.spliced);
-  if (reply.error != 0) {
-    return Status::Error(reply.error);
-  }
-  return reply;
+  return result;
 }
 
 void FuseConn::SendNoReply(FuseRequest request) {
@@ -837,58 +707,20 @@ void FuseConn::SendNoReply(FuseRequest request) {
   // different, because its caller sleeps until the worker is done with the
   // lane.
   request.lane = nullptr;
-  if (RingState* ring = ch.ring.load(std::memory_order_acquire)) {
-    RingSendNoReply(ch, *ring, ch_idx, std::move(request));
-    return;
-  }
-  clock_->Advance(costs_->fuse_round_trip_ns / 2);
-  {
-    std::lock_guard<analysis::CheckedMutex> lock(ch.mu);
-    if (aborted()) {
-      return;
-    }
+  // Fire-and-forget: no completion slot, no waiting, no doorbell. The
+  // wakeup profile charges the one-way half of a round trip, the ring
+  // profile one SQE fill.
+  clock_->Advance(profile() == TransportProfile::kRing ? costs_->fuse_ring_sqe_ns
+                                                       : costs_->fuse_round_trip_ns / 2);
+  ch.ring.submitting.fetch_add(1, std::memory_order_seq_cst);
+  bool pushed = RingPushSqe(ch, std::move(request));
+  ch.ring.submitting.fetch_sub(1, std::memory_order_seq_cst);
+  if (pushed) {
     forgets_->Add();
-    ch.enqueued.fetch_add(1, std::memory_order_relaxed);
-    ch.queue.push_back(std::move(request));
-    if (ch.queue.size() > ch.max_depth.load(std::memory_order_relaxed)) {
-      ch.max_depth.store(ch.queue.size(), std::memory_order_relaxed);  // ch.mu held
-    }
-    queued_total_.fetch_add(1);  // seq_cst: pairs with NotifyWork fast path
+    // Fire-and-forget submissions have no span (nothing waits, so there is
+    // no wake to measure); the outcome counter still ticks per opcode.
+    RecordOutcome(op, nullptr, obs::Outcome::kOk, false);
   }
-  NotifyWork();
-  // Fire-and-forget submissions have no span (nothing waits, so there is no
-  // wake to measure); the outcome counter still ticks per opcode.
-  RecordOutcome(op, nullptr, obs::Outcome::kOk, false);
-}
-
-std::optional<FuseRequest> FuseConn::TryPop(FuseChannel& ch) {
-  std::optional<FuseRequest> req;
-  {
-    std::lock_guard<analysis::CheckedMutex> lock(ch.mu);
-    if (ch.queue.empty()) {
-      return std::nullopt;
-    }
-    req = std::move(ch.queue.front());
-    ch.queue.pop_front();
-    queued_total_.fetch_sub(1);
-  }
-  if (req->spliced && !req->payload_pages.empty()) {
-    // One /dev/fuse read consumes header + spliced payload together: free
-    // the lane capacity this request held since submission.
-    uint64_t bytes = 0;
-    for (const splice::PageRef& ref : req->payload_pages) {
-      bytes += ref.len;
-    }
-    ch.lane_in[req->lane_idx % kLanePoolSize]->DrainBytes(bytes);
-  }
-  if (req->span != nullptr) {
-    // Reap stamp on the *submitter's* timeline: the worker has not adopted
-    // the request's lane yet (LaneScope happens in the server loop), so a
-    // plain NowNs() here would read the worker's unrelated timeline.
-    req->span->reap_ns.store(clock_->NowOnLane(req->lane),
-                             std::memory_order_relaxed);
-  }
-  return req;
 }
 
 std::optional<FuseRequest> FuseConn::ReadRequest(size_t home_channel) {
@@ -902,8 +734,8 @@ std::optional<FuseRequest> FuseConn::ReadRequest(size_t home_channel) {
 std::vector<FuseRequest> FuseConn::ReadRequestBatch(size_t home_channel,
                                                     size_t max_batch) {
   std::vector<FuseRequest> batch;
-  if (max_batch == 0) {
-    max_batch = 1;
+  if (max_batch == 0 || profile() == TransportProfile::kWakeup) {
+    max_batch = 1;  // the wakeup profile: one request per read of the queue
   }
   const size_t n = num_channels();
   const size_t home = home_channel % n;
@@ -911,13 +743,7 @@ std::vector<FuseRequest> FuseConn::ReadRequestBatch(size_t home_channel,
     // Home channel first, then steal from siblings in ring order so a
     // single hot channel still drains through every idle worker.
     for (size_t i = 0; i < n; ++i) {
-      FuseChannel& ch = Channel((home + i) % n);
-      if (RingState* ring = ch.ring.load(std::memory_order_acquire)) {
-        if (RingReap(ch, *ring, batch, max_batch) > 0) {
-          return batch;
-        }
-      } else if (auto req = TryPop(ch)) {
-        batch.push_back(std::move(*req));
+      if (RingReap(Channel((home + i) % n), batch, max_batch) > 0) {
         return batch;
       }
     }
@@ -931,14 +757,10 @@ std::vector<FuseRequest> FuseConn::ReadRequestBatch(size_t home_channel,
       idle_workers_.fetch_sub(1);
       return batch;  // empty
     }
-    if (ring_enabled()) {
-      // Ring doorbells are best-effort (and can be injected away); the
-      // bounded park makes a lost one cost at most a tick, not a hang.
-      work_cv_.wait_for(idle, std::chrono::milliseconds(1),
-                        [&] { return queued_total_.load() > 0 || aborted(); });
-    } else {
-      work_cv_.wait(idle, [&] { return queued_total_.load() > 0 || aborted(); });
-    }
+    // Doorbells are best-effort (and can be injected away); the bounded
+    // park makes a lost one cost at most a tick, not a hang.
+    work_cv_.wait_for(idle, std::chrono::milliseconds(1),
+                      [&] { return queued_total_.load() > 0 || aborted(); });
     idle_workers_.fetch_sub(1);
     if (queued_total_.load() == 0 && aborted()) {
       return batch;  // empty
@@ -958,18 +780,7 @@ std::vector<FuseRequest> FuseConn::TryReadRequestBatch(size_t start_channel,
   // empty result means "nothing queued right now" and the pool's scheduler
   // decides what to do with that.
   for (size_t i = 0; i < n && batch.size() < max_batch; ++i) {
-    FuseChannel& ch = Channel((start + i) % n);
-    if (RingState* ring = ch.ring.load(std::memory_order_acquire)) {
-      RingReap(ch, *ring, batch, max_batch - batch.size());
-    } else {
-      while (batch.size() < max_batch) {
-        auto req = TryPop(ch);
-        if (!req.has_value()) {
-          break;
-        }
-        batch.push_back(std::move(*req));
-      }
-    }
+    RingReap(Channel((start + i) % n), batch, max_batch - batch.size());
   }
   return batch;
 }
@@ -989,43 +800,59 @@ void FuseConn::WriteReply(uint64_t unique, FuseReply reply) {
     }
   }
   FuseChannel& ch = ChannelOfUnique(unique);
-  if (RingState* ring = ch.ring.load(std::memory_order_acquire)) {
-    RingWriteReply(ch, *ring, unique, std::move(reply));
-    return;
-  }
-  std::lock_guard<analysis::CheckedMutex> lock(ch.mu);
   // The channel stays occupied through the server-side handling (the worker
   // runs on the caller's lane, so NowNs here includes the service time).
   BumpBusyUntil(ch, clock_->NowNs());
-  auto it = ch.pending.find(unique);
-  if (it == ch.pending.end()) {
-    // Forget, expired-and-collected, or aborted waiter: nothing delivered.
-    late_replies_->Add();
-    return;
-  }
-  if (it->second.timed_out || it->second.interrupted ||
-      (it->second.deadline_ns != 0 && clock_->NowNs() > it->second.deadline_ns)) {
-    // The waiter's deadline expired (or it was interrupted) before this
-    // reply landed: drop the payload, resolve the waiter if it has not been
-    // already. Exactly one of {reply, timeout, interrupt} wins per request.
-    if (!it->second.timed_out && !it->second.interrupted) {
-      it->second.timed_out = true;
-      timeouts_->Add();
+  RingSlot& slot = ch.ring.slots[SlotOfUnique(unique) % ch.ring.depth];
+  for (;;) {
+    uint64_t ctrl = slot.ctrl.load(std::memory_order_acquire);
+    uint64_t state = SlotState(ctrl);
+    if (state == kSlotInit || state == kSlotSweeping) {
+      std::this_thread::yield();  // transient owner; it resolves fast
+      continue;
     }
-    late_replies_->Add();
-    ch.reply_cv.notify_all();
+    if (state != kSlotPending) {
+      // Resolved (timeout/interrupt/abort) or recycled: nothing delivered.
+      late_replies_->Add();
+      return;
+    }
+    uint64_t completing = SlotCtrl(SlotGen(ctrl), kSlotCompleting);
+    if (!slot.ctrl.compare_exchange_weak(ctrl, completing, std::memory_order_acq_rel)) {
+      continue;
+    }
+    if (slot.unique != unique) {
+      // The slot was recycled by a new request: this reply's waiter is gone.
+      slot.ctrl.store(SlotCtrl(SlotGen(ctrl), kSlotPending), std::memory_order_release);
+      late_replies_->Add();
+      return;
+    }
+    if (slot.deadline_ns != 0 && clock_->NowNs() > slot.deadline_ns) {
+      // The virtual deadline expired before this reply landed: drop the
+      // payload, resolve the waiter as timed out. Exactly one of
+      // {reply, timeout, interrupt} wins per request.
+      slot.ctrl.store(SlotCtrl(SlotGen(ctrl), kSlotTimedOut), std::memory_order_release);
+      timeouts_->Add();
+      late_replies_->Add();
+      RingWakeWaiters(ch.ring);
+      return;
+    }
+    // Payload onto the lane (or flattened) only for a live waiter, then one
+    // CQE publish. Out-of-order by construction: each reply lands in its own
+    // slot, whichever worker finishes first.
+    GateReplyPayload(ch, reply);
+    if (profile() == TransportProfile::kRing) {
+      // The wakeup profile's round trip already paid for the completion.
+      clock_->Advance(costs_->fuse_ring_cqe_ns);
+    }
+    slot.reply = std::move(reply);
+    replies_->Add();
+    slot.ctrl.store(SlotCtrl(SlotGen(ctrl), kSlotDone), std::memory_order_release);
+    RingWakeWaiters(ch.ring);
     return;
   }
-  // Payload onto the lane (or flattened) only for a live waiter — a dead
-  // waiter's pages are simply dropped with the reply.
-  GateReplyPayload(ch, reply);
-  replies_->Add();
-  it->second.reply = std::move(reply);
-  it->second.done = true;
-  ch.reply_cv.notify_all();
 }
 
-// --- submission-ring transport ---------------------------------------------
+// --- ring internals ----------------------------------------------------------
 //
 // Slot discipline (see fuse_ring.h): plain slot fields are written only
 // under kSlotInit (the submitter) and read only by owners of a claim state —
@@ -1074,7 +901,8 @@ int FuseConn::RingAllocSlot(RingState& ring) {
   return -1;
 }
 
-bool FuseConn::RingPushSqe(FuseChannel& ch, RingState& ring, FuseRequest request) {
+bool FuseConn::RingPushSqe(FuseChannel& ch, FuseRequest request) {
+  RingState& ring = ch.ring;
   bool overflowed = false;
   // Deterministic doorbell rule: every reply-carrying SQE pays the doorbell;
   // fire-and-forget entries (FORGETs, interrupt notifications) ride the next
@@ -1102,7 +930,8 @@ bool FuseConn::RingPushSqe(FuseChannel& ch, RingState& ring, FuseRequest request
         // Burst head (stats only: this is a real-time observation).
         ring.doorbells.fetch_add(1, std::memory_order_relaxed);
       }
-      if (rings_doorbell) {
+      if (rings_doorbell && profile() == TransportProfile::kRing) {
+        // The wakeup profile's round trip already paid for the wakeup.
         clock_->Advance(costs_->fuse_ring_doorbell_ns);
       }
       bool lost = false;
@@ -1161,8 +990,9 @@ bool FuseConn::RingClaimSqe(RingState& ring, const FuseRequest& req) {
   }
 }
 
-size_t FuseConn::RingReap(FuseChannel& ch, RingState& ring,
-                          std::vector<FuseRequest>& out, size_t max_batch) {
+size_t FuseConn::RingReap(FuseChannel& ch, std::vector<FuseRequest>& out,
+                          size_t max_batch) {
+  RingState& ring = ch.ring;
   if (ring.sq.SizeApprox() == 0) {
     return 0;
   }
@@ -1194,8 +1024,9 @@ size_t FuseConn::RingReap(FuseChannel& ch, RingState& ring,
       continue;  // interrupt/timeout/abort won the race before the server saw it
     }
     if (req.span != nullptr) {
-      // Reap stamp on the submitter's timeline (see TryPop): the reaping
-      // worker adopts the lane only later, in the server loop.
+      // Reap stamp on the *submitter's* timeline: the reaping worker adopts
+      // the request's lane only later (LaneScope in the server loop), so a
+      // plain NowNs() here would read the worker's unrelated timeline.
       req.span->reap_ns.store(clock_->NowOnLane(req.lane),
                               std::memory_order_relaxed);
     }
@@ -1214,9 +1045,9 @@ size_t FuseConn::RingReap(FuseChannel& ch, RingState& ring,
   return delivered;
 }
 
-StatusOr<FuseReply> FuseConn::RingSendAndWait(FuseChannel& ch, RingState& ring,
-                                              size_t ch_idx, FuseRequest request,
-                                              RingPostActions* post) {
+StatusOr<FuseReply> FuseConn::RingSendAndWait(FuseChannel& ch, size_t ch_idx,
+                                              FuseRequest request, RingPostActions* post) {
+  RingState& ring = ch.ring;
   const FuseOpcode op = request.opcode;
   // Injected SQ overflow: surfaces to the submitter as a full-ring
   // submission failure.
@@ -1264,7 +1095,7 @@ StatusOr<FuseReply> FuseConn::RingSendAndWait(FuseChannel& ch, RingState& ring,
   RingSlot& slot = ring.slots[slot_idx];
   const uint64_t gen = SlotGen(slot.ctrl.load(std::memory_order_relaxed));
 
-  uint64_t unique = MakeRingUnique(ch_idx, static_cast<size_t>(slot_idx));
+  uint64_t unique = MakeUnique(ch_idx, static_cast<size_t>(slot_idx));
   request.unique = unique;
   request.channel = static_cast<uint32_t>(ch_idx);
   request.lane = SimClock::current_lane();
@@ -1276,9 +1107,10 @@ StatusOr<FuseReply> FuseConn::RingSendAndWait(FuseChannel& ch, RingState& ring,
   GateRequestPayload(ch, request);
   const bool req_spliced = request.spliced;
 
-  // Channel occupancy across parallel lanes (same contract as the wakeup
-  // path) — but no per-reader contention premium: SQ producers and the
-  // reaping consumer never contend on a queue lock.
+  // Channel occupancy: on parallel lanes, arriving at a busy channel means
+  // waiting out its backlog first (the single-queue plateau). On the shared
+  // timeline every thread's advances already sum, so the backlog wait is
+  // implicit and charging it again would double-count.
   if (request.lane != nullptr) {
     uint64_t now = clock_->NowNs();
     uint64_t busy = ch.busy_until_ns.load(std::memory_order_relaxed);
@@ -1286,7 +1118,7 @@ StatusOr<FuseReply> FuseConn::RingSendAndWait(FuseChannel& ch, RingState& ring,
       clock_->Advance(busy - now);
     }
   }
-  clock_->Advance(costs_->fuse_ring_sqe_ns);
+  clock_->Advance(SubmitCostNs(ch));
   BumpBusyUntil(ch, clock_->NowNs());
   requests_->Add();
 
@@ -1305,7 +1137,7 @@ StatusOr<FuseReply> FuseConn::RingSendAndWait(FuseChannel& ch, RingState& ring,
   // Submit. The submitting window is refcounted so Abort can wait out
   // in-progress pushes before draining the SQ.
   ring.submitting.fetch_add(1, std::memory_order_seq_cst);
-  bool pushed = RingPushSqe(ch, ring, std::move(request));
+  bool pushed = RingPushSqe(ch, std::move(request));
   ring.submitting.fetch_sub(1, std::memory_order_seq_cst);
 
   // Wait: adaptive spin on our own completion slot, then bounded park. The
@@ -1397,7 +1229,7 @@ StatusOr<FuseReply> FuseConn::RingSendAndWait(FuseChannel& ch, RingState& ring,
   }
   consecutive_timeouts_.store(0, std::memory_order_release);
   if (reply.spliced) {
-    // Consume the lane bytes this reply occupied since RingWriteReply.
+    // Consume the lane bytes this reply occupied since WriteReply.
     ch.lane_out[reply.lane_idx % kLanePoolSize]->DrainBytes(reply.payload_bytes());
   }
   RecordOutcome(op, span,
@@ -1409,140 +1241,27 @@ StatusOr<FuseReply> FuseConn::RingSendAndWait(FuseChannel& ch, RingState& ring,
   return reply;
 }
 
-void FuseConn::RingSendNoReply(FuseChannel& ch, RingState& ring, size_t ch_idx,
-                               FuseRequest request) {
-  (void)ch_idx;
-  // Fire-and-forget: one SQE fill, no completion slot, no waiting. The
-  // doorbell (if this lands a burst head) is charged inside the push.
-  const FuseOpcode op = request.opcode;
-  clock_->Advance(costs_->fuse_ring_sqe_ns);
-  ring.submitting.fetch_add(1, std::memory_order_seq_cst);
-  bool pushed = RingPushSqe(ch, ring, std::move(request));
-  if (pushed) {
-    forgets_->Add();
-  }
-  ring.submitting.fetch_sub(1, std::memory_order_seq_cst);
-  if (pushed) {
-    RecordOutcome(op, nullptr, obs::Outcome::kOk, false);
-  }
-}
-
-void FuseConn::RingWriteReply(FuseChannel& ch, RingState& ring, uint64_t unique,
-                              FuseReply reply) {
-  // The channel stays occupied through the server-side handling (the worker
-  // runs on the caller's lane, so NowNs here includes the service time).
-  BumpBusyUntil(ch, clock_->NowNs());
-  RingSlot& slot = ring.slots[SlotOfUnique(unique) % ring.depth];
-  for (;;) {
-    uint64_t ctrl = slot.ctrl.load(std::memory_order_acquire);
-    uint64_t state = SlotState(ctrl);
-    if (state == kSlotInit || state == kSlotSweeping) {
-      std::this_thread::yield();  // transient owner; it resolves fast
-      continue;
-    }
-    if (state != kSlotPending) {
-      // Resolved (timeout/interrupt/abort) or recycled: nothing delivered.
-      late_replies_->Add();
-      return;
-    }
-    uint64_t completing = SlotCtrl(SlotGen(ctrl), kSlotCompleting);
-    if (!slot.ctrl.compare_exchange_weak(ctrl, completing, std::memory_order_acq_rel)) {
-      continue;
-    }
-    if (slot.unique != unique) {
-      // The slot was recycled by a new request: this reply's waiter is gone.
-      slot.ctrl.store(SlotCtrl(SlotGen(ctrl), kSlotPending), std::memory_order_release);
-      late_replies_->Add();
-      return;
-    }
-    if (slot.deadline_ns != 0 && clock_->NowNs() > slot.deadline_ns) {
-      // The virtual deadline expired before this reply landed: drop the
-      // payload, resolve the waiter as timed out. Exactly one of
-      // {reply, timeout, interrupt} wins per request.
-      slot.ctrl.store(SlotCtrl(SlotGen(ctrl), kSlotTimedOut), std::memory_order_release);
-      timeouts_->Add();
-      late_replies_->Add();
-      RingWakeWaiters(ring);
-      return;
-    }
-    // Payload onto the lane (or flattened) only for a live waiter, then one
-    // CQE publish. Out-of-order by construction: each reply lands in its own
-    // slot, whichever worker finishes first.
-    GateReplyPayload(ch, reply);
-    clock_->Advance(costs_->fuse_ring_cqe_ns);
-    slot.reply = std::move(reply);
-    replies_->Add();
-    slot.ctrl.store(SlotCtrl(SlotGen(ctrl), kSlotDone), std::memory_order_release);
-    RingWakeWaiters(ring);
-    return;
-  }
-}
-
-bool FuseConn::RingInterrupt(FuseChannel& ch, RingState& ring, size_t ch_idx,
-                             uint64_t unique) {
-  RingSlot& slot = ring.slots[SlotOfUnique(unique) % ring.depth];
-  for (;;) {
-    uint64_t ctrl = slot.ctrl.load(std::memory_order_acquire);
-    uint64_t state = SlotState(ctrl);
-    if (state == kSlotInit || state == kSlotSweeping || state == kSlotCompleting) {
-      std::this_thread::yield();
-      continue;
-    }
-    if (state != kSlotPending) {
-      return false;  // already resolved (or never existed): nothing to do
-    }
-    uint64_t sweeping = SlotCtrl(SlotGen(ctrl), kSlotSweeping);
-    if (!slot.ctrl.compare_exchange_weak(ctrl, sweeping, std::memory_order_acq_rel)) {
-      continue;
-    }
-    if (slot.unique != unique) {
-      slot.ctrl.store(SlotCtrl(SlotGen(ctrl), kSlotPending), std::memory_order_release);
-      return false;
-    }
-    bool claimed = slot.claimed.load(std::memory_order_relaxed);
-    slot.ctrl.store(SlotCtrl(SlotGen(ctrl), kSlotInterrupted), std::memory_order_release);
-    interrupts_->Add();
-    RingWakeWaiters(ring);
-    if (claimed) {
-      // The server already reaped it: send the INTERRUPT notification so it
-      // can observe the cancellation (its eventual reply is dropped as
-      // late). An unclaimed SQE is instead dropped at reap time.
-      EnqueueInterruptNotify(ch, ch_idx, unique);
-    }
-    return true;
-  }
-}
-
 void FuseConn::Abort() {
   aborted_.store(true, std::memory_order_release);
   // Sweep every channel ever created (including any retired by a reshape):
   // a waiter parked on a stale channel must still wake with ENOTCONN.
   std::lock_guard<analysis::CheckedMutex> config(config_mu_);
   for (auto& ch : owned_channels_) {
-    {
-      std::lock_guard<analysis::CheckedMutex> lock(ch->mu);
+    RingState& ring = ch->ring;
+    // Wait out in-progress submitters (they observe aborted_ within one
+    // bounded park), then drain the SQ so in-flight entries go to zero;
+    // waiters reclaim their own Pending slots once woken.
+    while (ring.submitting.load(std::memory_order_seq_cst) != 0) {
+      std::this_thread::yield();
     }
-    ch->reply_cv.notify_all();
-    if (RingState* ring = ch->ring.load(std::memory_order_acquire)) {
-      // Wait out in-progress submitters (they observe aborted_ within one
-      // bounded park), then drain the SQ so ring-in-flight entries go to
-      // zero; waiters reclaim their own Pending slots once woken.
-      while (ring->submitting.load(std::memory_order_seq_cst) != 0) {
-        std::this_thread::yield();
-      }
-      FuseRequest drained;
-      while (ring->sq.TryPop(drained)) {
-        queued_total_.fetch_sub(1);
-      }
-      {
-        std::lock_guard<analysis::CheckedMutex> lock(ring->cq_mu);
-      }
-      ring->cq_cv.notify_all();
-      {
-        std::lock_guard<analysis::CheckedMutex> lock(ring->sq_mu);
-      }
-      ring->sq_cv.notify_all();
+    FuseRequest drained;
+    while (ring.sq.TryPop(drained)) {
+      queued_total_.fetch_sub(1);
     }
+    { std::lock_guard<analysis::CheckedMutex> lock(ring.cq_mu); }
+    ring.cq_cv.notify_all();
+    { std::lock_guard<analysis::CheckedMutex> lock(ring.sq_mu); }
+    ring.sq_cv.notify_all();
     // Waiters that died mid-transit leave payload parked on the lanes; a
     // dead connection must not strand that capacity.
     for (size_t i = 0; i < kLanePoolSize; ++i) {
@@ -1603,56 +1322,32 @@ void FuseConn::SweeperLoop() {
     {
       std::lock_guard<analysis::CheckedMutex> config(config_mu_);
       for (auto& ch : owned_channels_) {
-        if (RingState* ring = ch->ring.load(std::memory_order_acquire)) {
-          // Ring channels carry their pending set in the completion slots:
-          // claim each Pending slot transiently, expire it if it has sat
-          // unanswered past the real-time grace.
-          bool expired_ring = false;
-          for (RingSlot& slot : ring->slots) {
-            uint64_t ctrl = slot.ctrl.load(std::memory_order_acquire);
-            if (SlotState(ctrl) != kSlotPending) {
-              continue;
-            }
-            uint64_t sweeping = SlotCtrl(SlotGen(ctrl), kSlotSweeping);
-            if (!slot.ctrl.compare_exchange_strong(ctrl, sweeping,
-                                                   std::memory_order_acq_rel)) {
-              continue;  // racing claim; revisit next tick
-            }
-            bool expire =
-                slot.deadline_ns != 0 && now_real - slot.enqueued_real >= grace;
-            slot.ctrl.store(
-                SlotCtrl(SlotGen(ctrl), expire ? kSlotTimedOut : kSlotPending),
-                std::memory_order_release);
-            if (expire) {
-              timeouts_->Add();
-              expired_ring = true;
-            }
-          }
-          if (expired_ring) {
-            {
-              std::lock_guard<analysis::CheckedMutex> lock(ring->cq_mu);
-            }
-            ring->cq_cv.notify_all();
-          }
-          continue;
-        }
+        // The pending set lives in the completion slots: claim each Pending
+        // slot transiently, expire it if it has sat unanswered past the
+        // real-time grace.
+        RingState& ring = ch->ring;
         bool expired_any = false;
-        {
-          std::lock_guard<analysis::CheckedMutex> chlock(ch->mu);
-          for (auto& [unique, entry] : ch->pending) {
-            if (entry.deadline_ns == 0 || entry.done || entry.timed_out ||
-                entry.interrupted) {
-              continue;
-            }
-            if (now_real - entry.enqueued_real >= grace) {
-              entry.timed_out = true;
-              timeouts_->Add();
-              expired_any = true;
-            }
+        for (RingSlot& slot : ring.slots) {
+          uint64_t ctrl = slot.ctrl.load(std::memory_order_acquire);
+          if (SlotState(ctrl) != kSlotPending) {
+            continue;
+          }
+          uint64_t sweeping = SlotCtrl(SlotGen(ctrl), kSlotSweeping);
+          if (!slot.ctrl.compare_exchange_strong(ctrl, sweeping,
+                                                 std::memory_order_acq_rel)) {
+            continue;  // racing claim; revisit next tick
+          }
+          bool expire = slot.deadline_ns != 0 && now_real - slot.enqueued_real >= grace;
+          slot.ctrl.store(SlotCtrl(SlotGen(ctrl), expire ? kSlotTimedOut : kSlotPending),
+                          std::memory_order_release);
+          if (expire) {
+            timeouts_->Add();
+            expired_any = true;
           }
         }
         if (expired_any) {
-          ch->reply_cv.notify_all();
+          { std::lock_guard<analysis::CheckedMutex> cq(ring.cq_mu); }
+          ring.cq_cv.notify_all();
         }
       }
     }
@@ -1680,135 +1375,93 @@ void FuseConn::StopSweeper() {
 
 bool FuseConn::Interrupt(uint64_t unique) {
   FuseChannel& ch = ChannelOfUnique(unique);
-  size_t ch_idx = unique & (kMaxChannels - 1);
-  if (RingState* ring = ch.ring.load(std::memory_order_acquire)) {
-    return RingInterrupt(ch, *ring, ch_idx, unique);
-  }
-  bool in_flight_now = false;
-  {
-    std::lock_guard<analysis::CheckedMutex> lock(ch.mu);
-    auto it = ch.pending.find(unique);
-    if (it == ch.pending.end() || it->second.done || it->second.timed_out ||
-        it->second.interrupted) {
+  RingSlot& slot = ch.ring.slots[SlotOfUnique(unique) % ch.ring.depth];
+  for (;;) {
+    uint64_t ctrl = slot.ctrl.load(std::memory_order_acquire);
+    uint64_t state = SlotState(ctrl);
+    if (state == kSlotInit || state == kSlotSweeping || state == kSlotCompleting) {
+      std::this_thread::yield();
+      continue;
+    }
+    if (state != kSlotPending) {
       return false;  // already resolved (or never existed): nothing to do
     }
-    // Still queued: remove it before the server ever dequeues it, releasing
-    // any lane capacity its spliced payload held (exactly what TryPop would
-    // have consumed).
-    auto qit = std::find_if(ch.queue.begin(), ch.queue.end(),
-                            [&](const FuseRequest& r) { return r.unique == unique; });
-    if (qit != ch.queue.end()) {
-      if (qit->spliced && !qit->payload_pages.empty()) {
-        uint64_t bytes = 0;
-        for (const splice::PageRef& ref : qit->payload_pages) {
-          bytes += ref.len;
-        }
-        ch.lane_in[qit->lane_idx % kLanePoolSize]->DrainBytes(bytes);
-      }
-      ch.queue.erase(qit);
-      queued_total_.fetch_sub(1);
-    } else {
-      in_flight_now = true;
+    uint64_t sweeping = SlotCtrl(SlotGen(ctrl), kSlotSweeping);
+    if (!slot.ctrl.compare_exchange_weak(ctrl, sweeping, std::memory_order_acq_rel)) {
+      continue;
     }
-    it->second.interrupted = true;
-    interrupts_->Add();
+    if (slot.unique != unique) {
+      slot.ctrl.store(SlotCtrl(SlotGen(ctrl), kSlotPending), std::memory_order_release);
+      return false;
+    }
+    InterruptClaimedSlot(ch, slot, ctrl);
+    return true;
   }
-  ch.reply_cv.notify_all();
-  if (in_flight_now) {
-    // The server already holds the request: send the INTERRUPT notification
-    // so it can observe the cancellation (its eventual reply is dropped as
-    // late either way).
-    EnqueueInterruptNotify(ch, ch_idx, unique);
-  }
-  return true;
 }
 
 uint32_t FuseConn::InterruptPid(kernel::Pid pid) {
   uint32_t count = 0;
   std::lock_guard<analysis::CheckedMutex> config(config_mu_);
   for (auto& ch : owned_channels_) {
-    if (RingState* ring = ch->ring.load(std::memory_order_acquire)) {
-      // Scan the completion slots for this pid's in-flight requests and
-      // resolve each the same way RingInterrupt would (the slot claim
-      // doubles as the unique lookup — no pending map in ring mode).
-      for (RingSlot& slot : ring->slots) {
-        uint64_t ctrl = slot.ctrl.load(std::memory_order_acquire);
-        if (SlotState(ctrl) != kSlotPending) {
-          continue;
-        }
-        uint64_t sweeping = SlotCtrl(SlotGen(ctrl), kSlotSweeping);
-        if (!slot.ctrl.compare_exchange_strong(ctrl, sweeping,
-                                               std::memory_order_acq_rel)) {
-          continue;  // racing claim; that owner resolves it
-        }
-        if (slot.pid != pid) {
-          slot.ctrl.store(SlotCtrl(SlotGen(ctrl), kSlotPending),
-                          std::memory_order_release);
-          continue;
-        }
-        uint64_t unique = slot.unique;
-        bool claimed = slot.claimed.load(std::memory_order_relaxed);
-        slot.ctrl.store(SlotCtrl(SlotGen(ctrl), kSlotInterrupted),
-                        std::memory_order_release);
-        interrupts_->Add();
-        RingWakeWaiters(*ring);
-        if (claimed) {
-          EnqueueInterruptNotify(*ch, unique & (kMaxChannels - 1), unique);
-        }
-        ++count;
+    // Scan the completion slots for this pid's in-flight requests (the slot
+    // claim doubles as the unique lookup — there is no pending map).
+    for (RingSlot& slot : ch->ring.slots) {
+      uint64_t ctrl = slot.ctrl.load(std::memory_order_acquire);
+      if (SlotState(ctrl) != kSlotPending) {
+        continue;
       }
-      continue;
-    }
-    std::vector<uint64_t> found;
-    {
-      std::lock_guard<analysis::CheckedMutex> lock(ch->mu);
-      for (auto& [unique, entry] : ch->pending) {
-        if (entry.pid == pid && !entry.done && !entry.timed_out && !entry.interrupted) {
-          found.push_back(unique);
-        }
+      uint64_t sweeping = SlotCtrl(SlotGen(ctrl), kSlotSweeping);
+      if (!slot.ctrl.compare_exchange_strong(ctrl, sweeping, std::memory_order_acq_rel)) {
+        continue;  // racing claim; that owner resolves it
       }
-    }
-    for (uint64_t unique : found) {
-      if (Interrupt(unique)) {
-        ++count;
+      if (slot.pid != pid) {
+        slot.ctrl.store(SlotCtrl(SlotGen(ctrl), kSlotPending), std::memory_order_release);
+        continue;
       }
+      InterruptClaimedSlot(*ch, slot, ctrl);
+      ++count;
     }
   }
   return count;
 }
 
-void FuseConn::EnqueueInterruptNotify(FuseChannel& ch, size_t ch_idx, uint64_t unique) {
+void FuseConn::InterruptClaimedSlot(FuseChannel& ch, RingSlot& slot, uint64_t ctrl) {
+  // Read before the terminal store: from then on the waiter may free and
+  // recycle the slot.
+  const uint64_t unique = slot.unique;
+  const bool claimed = slot.claimed.load(std::memory_order_relaxed);
+  slot.ctrl.store(SlotCtrl(SlotGen(ctrl), kSlotInterrupted), std::memory_order_release);
+  interrupts_->Add();
+  RingWakeWaiters(ch.ring);
+  if (claimed) {
+    // The server already reaped it: send the INTERRUPT notification so it
+    // can observe the cancellation (its eventual reply is dropped as late).
+    // An unclaimed SQE is instead dropped at reap time.
+    EnqueueInterruptNotify(ch, unique);
+  }
+}
+
+void FuseConn::EnqueueInterruptNotify(FuseChannel& ch, uint64_t unique) {
   FuseRequest notify;
   notify.unique = 0;  // notification: the server never replies to it
   notify.opcode = FuseOpcode::kInterrupt;
   notify.interrupt_unique = unique;
-  notify.channel = static_cast<uint32_t>(ch_idx);
+  notify.channel = static_cast<uint32_t>(unique & (kMaxChannels - 1));
   notify.lane = nullptr;
-  if (RingState* ring = ch.ring.load(std::memory_order_acquire)) {
-    // Best effort: a notification that finds the ring full is dropped — the
-    // waiter is already unblocked either way.
-    ring->submitting.fetch_add(1, std::memory_order_seq_cst);
-    if (!aborted()) {
-      // Counted before the push, as in RingPushSqe.
-      queued_total_.fetch_add(1);  // seq_cst: pairs with parked workers
-      if (ring->sq.TryPush(std::move(notify))) {
-        NotifyWork();
-      } else {
-        queued_total_.fetch_sub(1);
-      }
+  // Best effort: a notification that finds the ring full is dropped — the
+  // waiter is already unblocked either way.
+  RingState& ring = ch.ring;
+  ring.submitting.fetch_add(1, std::memory_order_seq_cst);
+  if (!aborted()) {
+    // Counted before the push, as in RingPushSqe.
+    queued_total_.fetch_add(1);  // seq_cst: pairs with parked workers
+    if (ring.sq.TryPush(std::move(notify))) {
+      NotifyWork();
+    } else {
+      queued_total_.fetch_sub(1);
     }
-    ring->submitting.fetch_sub(1, std::memory_order_seq_cst);
-    return;
   }
-  {
-    std::lock_guard<analysis::CheckedMutex> lock(ch.mu);
-    if (aborted()) {
-      return;
-    }
-    ch.queue.push_back(std::move(notify));
-    queued_total_.fetch_add(1);  // seq_cst: pairs with NotifyWork fast path
-  }
-  NotifyWork();
+  ring.submitting.fetch_sub(1, std::memory_order_seq_cst);
 }
 
 size_t FuseConn::lane_bytes_in_flight() const {

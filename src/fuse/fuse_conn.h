@@ -1,17 +1,29 @@
 // The /dev/fuse connection: the request/response channel between the
 // kernel-side FUSE filesystem and the userspace server.
 //
-// Architecture note — multi-queue channels vs. the paper's single queue.
+// Architecture note — one transport, two cost profiles.
 //
-// The paper's CNTRFS (§3.3) has every server thread read one shared
-// /dev/fuse queue; Figure 4 measures the price: each extra reader adds a
-// flat contention premium (futex churn, cacheline bouncing) to every
-// request, so throughput *declines* as threads are added. Linux grew out of
-// this with cloned device channels (FUSE_DEV_IOC_CLONE): each clone is an
-// independent queue with its own lock.
+// Every request rides one transport: each channel carries a submission ring
+// (SQ) the server reaps and a set of completion slots the waiters poll (see
+// fuse_ring.h). What differs between paper-era and modern mounts is only
+// what that transport charges in virtual time — its cost profile:
 //
-// FuseConn reproduces both designs. It owns N FuseChannels, each with its
-// own mutex, request deque, pending-reply map, and condition variables:
+//   * Wakeup profile (every connection starts here). The paper's CNTRFS
+//     (§3.3) has every server thread read one shared /dev/fuse queue, and
+//     Figure 4 measures the price: a reply-carrying request pays one full
+//     round trip (fuse_round_trip_ns) plus a contention premium
+//     (fuse_thread_contention_ns) for each extra server thread homed on its
+//     channel, so throughput *declines* as threads are added. A FORGET or a
+//     notification pays half a round trip. Doorbell and completion entries
+//     cost nothing extra, and a blocking server read hands over one request
+//     at a time.
+//   * Ring profile (FUSE-over-io_uring lineage). Negotiated at INIT via
+//     kFuseRingSubmission: a submission costs one SQE fill, a reply-carrying
+//     one also rings the doorbell, a completion costs one CQE, there is no
+//     contention premium, and a server read drains a burst of up to
+//     kRingReapBatch entries.
+//
+// Channels reproduce Linux's cloned device queues (FUSE_DEV_IOC_CLONE):
 //
 //   * Routing: the kernel side picks a channel by hashing the calling
 //     process (sticky — one process's requests, including its FORGETs,
@@ -19,10 +31,10 @@
 //     the LOOKUP traffic it balances; with multiple workers the handlers
 //     may still overlap, which is safe because a FORGET carries the full
 //     nlookup balance and the node table clamps at zero).
-//   * Contention: the Figure 4 premium is charged per channel — it scales
-//     with the readers of *that* channel, not the whole server. One channel
-//     with N workers reproduces the paper's numbers exactly; N channels
-//     with one worker each make the premium vanish.
+//   * Contention: the wakeup profile's premium is charged per channel — it
+//     scales with the readers of *that* channel, not the whole server. One
+//     channel with N workers reproduces the paper's numbers exactly; N
+//     channels with one worker each make the premium vanish.
 //   * Occupancy: each channel is a serial resource in virtual time. When
 //     callers run on parallel SimClock lanes (bench_multithreading's
 //     independent client processes), a request arriving at a busy channel
@@ -34,26 +46,13 @@
 //     whole thread pool.
 //
 // The default is one channel — the paper's configuration.
-//
-// Submission rings (post-paper, the FUSE-over-io_uring lineage): when the
-// mount negotiates kFuseRingSubmission, each channel swaps the
-// mutex+deque+pending-map+condvar handshake for a pair of ring buffers (see
-// fuse_ring.h): submissions ride a lock-free SQ the server reaps in bursts,
-// completions land in per-request slots the waiter spin-polls, and a
-// doorbell per direction is only rung when the far side is actually parked.
-// The legacy wakeup path stays bit-identical for mounts that do not opt in
-// (FuseMountOptions::Paper() / Baseline(), and raw FuseConn users).
 #ifndef CNTR_SRC_FUSE_FUSE_CONN_H_
 #define CNTR_SRC_FUSE_FUSE_CONN_H_
 
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -89,9 +88,9 @@ inline constexpr size_t kDefaultLanePages = 32;
 // of its direction is occupied.
 inline constexpr size_t kLanePoolSize = 8;
 
-// One cloned /dev/fuse queue: private lock, request deque, pending-reply
-// map, and reply condvar. Padded so neighbouring channel locks do not
-// false-share.
+// One cloned /dev/fuse queue: its submission ring and completion slots,
+// its occupancy in virtual time, and its splice lanes. Padded so
+// neighbouring channels do not false-share.
 //
 // Each channel also owns a pool of pipe pairs — its zero-copy data lanes
 // (kLanePoolSize per direction, the libfuse pipe-pool analogue). Spliced
@@ -104,7 +103,7 @@ inline constexpr size_t kLanePoolSize = 8;
 // spliced payload in one read). A payload that fits no lane falls back to
 // the copy path whole.
 struct alignas(64) FuseChannel {
-  FuseChannel() {
+  explicit FuseChannel(size_t ring_depth) : ring(ring_depth) {
     for (size_t i = 0; i < kLanePoolSize; ++i) {
       lane_in[i] = std::make_shared<kernel::PipeBuffer>(
           /*hub=*/nullptr, kDefaultLanePages * kernel::kPageSize);
@@ -119,28 +118,33 @@ struct alignas(64) FuseChannel {
     }
   }
 
-  mutable analysis::CheckedMutex mu{"fuse.conn.channel"};
-  analysis::CheckedCondVar reply_cv{"fuse.conn.channel.reply_cv"};  // kernel waits for replies
-  std::deque<FuseRequest> queue;
-  struct PendingReply {
-    bool done = false;
-    // Request lifecycle hardening (see docs/robustness.md): a waiter wakes
-    // on done, timed_out, interrupted, or connection abort — whichever
-    // happens first; the losing outcomes are dropped with a stat.
-    bool timed_out = false;
-    bool interrupted = false;
-    uint64_t deadline_ns = 0;  // virtual deadline; 0 = none armed
-    std::chrono::steady_clock::time_point enqueued_real;
-    kernel::Pid pid = 0;  // submitting process (InterruptPid lookup)
-    FuseReply reply;
-  };
-  std::map<uint64_t, PendingReply> pending;
+  // Carries over what a ring rebuild must not reset (ConfigureRing swaps in
+  // fresh channels of the negotiated depth): the readers homed here, the
+  // routing and depth counters, the occupancy, the splice opt-out and the
+  // lane size. `old` must be quiet.
+  void InheritFrom(const FuseChannel& old) {
+    busy_until_ns.store(old.busy_until_ns.load());
+    readers.store(old.readers.load());
+    enqueued.store(old.enqueued.load());
+    max_depth.store(old.max_depth.load());
+    fallback_pressure.store(old.fallback_pressure.load());
+    splice_enabled.store(old.splice_enabled.load());
+    const size_t cap = old.lane_out[0]->capacity();
+    for (size_t i = 0; i < kLanePoolSize; ++i) {
+      (void)lane_in[i]->SetCapacity(cap);
+      (void)lane_out[i]->SetCapacity(cap);
+    }
+  }
+
+  // The submission ring and completion slots every request of this channel
+  // rides.
+  RingState ring;
   // Virtual-time occupancy: the instant this channel finishes its current
-  // backlog. Only observable across parallel SimClock lanes. Atomic because
-  // the ring transport updates it without ch.mu (monotonic fetch-max).
+  // backlog. Only observable across parallel SimClock lanes. Monotonic
+  // fetch-max (BumpBusyUntil).
   std::atomic<uint64_t> busy_until_ns{0};
-  // Server threads whose home queue this is (Figure 4 premium scales with
-  // the readers of this channel only).
+  // Server threads whose home queue this is (the wakeup profile's Figure 4
+  // premium scales with the readers of this channel only).
   std::atomic<int> readers{0};
   // Requests ever enqueued here (routing visibility for tests/stats).
   std::atomic<uint64_t> enqueued{0};
@@ -157,18 +161,20 @@ struct alignas(64) FuseChannel {
   std::array<std::shared_ptr<kernel::PipeBuffer>, kLanePoolSize> lane_in;
   std::array<std::shared_ptr<kernel::PipeBuffer>, kLanePoolSize> lane_out;
   std::atomic<bool> splice_enabled{true};
+};
 
-  // Submission-ring state (null on the legacy wakeup path). Published with
-  // release once fully constructed; owned for the channel's lifetime.
-  std::unique_ptr<RingState> ring_owner;
-  std::atomic<RingState*> ring{nullptr};
+// What the connection's transport charges in virtual time (see the
+// architecture note at the top of this file).
+enum class TransportProfile : uint8_t {
+  kWakeup,  // paper-era handshake: round trip + contention, one per read
+  kRing,    // negotiated rings: SQE + doorbell + CQE, bursts per read
 };
 
 class FuseConn {
  public:
   // Up to kMaxChannels cloned queues; channel indices ride in the low bits
-  // of the request unique so replies find their pending map without a
-  // global table.
+  // of the request unique so replies find their channel without a global
+  // table.
   static constexpr size_t kChannelBits = 6;
   static constexpr size_t kMaxChannels = size_t{1} << kChannelBits;
 
@@ -198,15 +204,19 @@ class FuseConn {
   size_t TryReshapeChannels(size_t requested);
   size_t num_channels() const { return num_channels_.load(std::memory_order_acquire); }
 
-  // Switches every channel to the submission-ring transport (negotiated at
-  // INIT via kFuseRingSubmission). Only honoured on a quiet connection —
-  // nothing queued, nothing pending, not aborted; readers may already be
-  // parked (they pick the rings up on their next scan). `depth` is rounded
-  // up to a power of two in [kMinRingDepth, kMaxRingDepth]; `spin_budget`
-  // is the iterations both sides spin-poll before parking. Returns the
-  // effective depth, or 0 when the switch was refused (depth 0 opts out).
+  // Switches the connection from the wakeup profile to the ring profile
+  // (negotiated at INIT via kFuseRingSubmission) and sets the ring depth.
+  // Only honoured on a quiet connection — nothing queued, nothing in
+  // flight, no submitter in its send window, not aborted; readers may
+  // already be parked. A depth other than the current one installs fresh
+  // channels of that depth (carrying each channel's state over); parked
+  // readers pick them up on their next scan. `depth` is rounded up to a
+  // power of two in [kMinRingDepth, kMaxRingDepth]; `spin_budget` is the
+  // iterations a waiter spin-polls before parking. One-shot: once on the
+  // ring profile, the established depth sticks. Returns the effective
+  // depth, or 0 when the switch was refused.
   size_t ConfigureRing(size_t depth, uint32_t spin_budget = kDefaultRingSpinBudget);
-  bool ring_enabled() const { return ring_enabled_.load(std::memory_order_acquire); }
+  TransportProfile profile() const { return profile_.load(std::memory_order_acquire); }
   size_t ring_depth() const { return ring_depth_.load(std::memory_order_acquire); }
 
   // Sticky routing: which channel requests from `pid` land on.
@@ -214,13 +224,16 @@ class FuseConn {
 
   // --- kernel side ---
   // Blocks until the server replies (or the connection aborts: ENOTCONN).
-  // Charges one FUSE round trip on the virtual clock, the per-channel
-  // contention premium, and — across parallel lanes — the channel's backlog.
+  // Charges the profile's submission cost on the virtual clock (wakeup: one
+  // round trip plus the per-channel contention premium; ring: SQE +
+  // doorbell, then the CQE on reply) and — across parallel lanes — the
+  // channel's backlog.
   StatusOr<FuseReply> SendAndWait(FuseRequest request);
 
-  // Fire-and-forget (FORGET/BATCH_FORGET have no reply). Charges one-way.
-  // Routed by pid like SendAndWait, so forgets stay ordered behind the
-  // caller's lookups on the same channel.
+  // Fire-and-forget (FORGET/BATCH_FORGET have no reply). Charges one-way
+  // (wakeup: half a round trip; ring: one SQE). Routed by pid like
+  // SendAndWait, so forgets stay ordered behind the caller's lookups on the
+  // same channel.
   void SendNoReply(FuseRequest request);
 
   // --- server side ---
@@ -228,11 +241,12 @@ class FuseConn {
   // stealing from non-empty siblings when it is dry; returns nullopt when
   // the connection aborts and all queues are drained (server threads exit).
   std::optional<FuseRequest> ReadRequest(size_t home_channel = 0);
-  // Ring-mode reap: blocks like ReadRequest but drains a whole burst (up to
-  // `max_batch` requests) from one channel in a single pass, so one wakeup
-  // amortizes over every SQ entry that accumulated while the worker was
-  // busy. Returns an empty batch when the connection aborts and the rings
-  // are drained. Falls back to a single legacy pop on non-ring channels.
+  // Blocks like ReadRequest but, on the ring profile, drains a burst of up
+  // to `max_batch` requests from one channel in a single pass, so one
+  // wakeup amortizes over every SQ entry that accumulated while the worker
+  // was busy. The wakeup profile hands over one request per read, as one
+  // read(2) of the shared /dev/fuse queue does. Returns an empty batch when
+  // the connection aborts and the rings are drained.
   std::vector<FuseRequest> ReadRequestBatch(size_t home_channel = 0,
                                             size_t max_batch = kRingReapBatch);
   // Non-blocking variant for shared-pool workers: drains up to `max_batch`
@@ -387,22 +401,15 @@ class FuseConn {
   uint64_t channel_requests(size_t i) const {
     return Channel(i).enqueued.load(std::memory_order_relaxed);
   }
-  // Current depth of channel `i`'s queue (ring mode: SQ occupancy).
-  size_t channel_queue_depth(size_t i) const {
-    FuseChannel& ch = Channel(i);
-    if (const RingState* ring = ch.ring.load(std::memory_order_acquire)) {
-      return ring->sq.SizeApprox();
-    }
-    std::lock_guard<analysis::CheckedMutex> lock(ch.mu);
-    return ch.queue.size();
-  }
+  // Current depth of channel `i`'s queue: its SQ occupancy, including
+  // interrupted entries that wait to be dropped at reap time.
+  size_t channel_queue_depth(size_t i) const { return Channel(i).ring.sq.SizeApprox(); }
   // Deepest channel `i`'s queue has ever been.
   uint64_t channel_max_queue_depth(size_t i) const {
     return Channel(i).max_depth.load(std::memory_order_relaxed);
   }
 
-  // Per-channel batch-efficiency counters of the ring transport (all zero
-  // on the legacy wakeup path).
+  // Per-channel batch-efficiency counters of the transport.
   struct RingChannelStats {
     uint64_t doorbells = 0;     // submission doorbells rung (burst heads:
                                 // SQEs that found the ring empty)
@@ -413,15 +420,14 @@ class FuseConn {
     uint64_t spin_parks = 0;        // spin budgets exhausted into a park
   };
   RingChannelStats channel_ring_stats(size_t i) const {
+    const RingState& ring = Channel(i).ring;
     RingChannelStats s;
-    if (const RingState* ring = Channel(i).ring.load(std::memory_order_acquire)) {
-      s.doorbells = ring->doorbells.load(std::memory_order_relaxed);
-      s.reaps = ring->reaps.load(std::memory_order_relaxed);
-      s.reaped_requests = ring->reaped_requests.load(std::memory_order_relaxed);
-      s.max_reqs_per_reap = ring->max_reqs_per_reap.load(std::memory_order_relaxed);
-      s.sq_overflows = ring->sq_overflows.load(std::memory_order_relaxed);
-      s.spin_parks = ring->spin_parks.load(std::memory_order_relaxed);
-    }
+    s.doorbells = ring.doorbells.load(std::memory_order_relaxed);
+    s.reaps = ring.reaps.load(std::memory_order_relaxed);
+    s.reaped_requests = ring.reaped_requests.load(std::memory_order_relaxed);
+    s.max_reqs_per_reap = ring.max_reqs_per_reap.load(std::memory_order_relaxed);
+    s.sq_overflows = ring.sq_overflows.load(std::memory_order_relaxed);
+    s.spin_parks = ring.spin_parks.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -450,7 +456,7 @@ class FuseConn {
     uint64_t interrupts = 0;       // requests unblocked via INTERRUPT
     uint64_t admission_waits = 0;  // SendAndWait calls gated on max_background
     uint64_t shed_rejects = 0;     // new requests bounced while shedding
-    // Ring-transport batch efficiency, rolled up across every channel of
+    // Transport batch efficiency, rolled up across every channel of
     // the mount (see RingChannelStats for the per-counter meaning).
     uint64_t doorbells = 0;
     uint64_t reaps = 0;
@@ -501,29 +507,23 @@ class FuseConn {
   FuseChannel& ChannelOfUnique(uint64_t unique) const {
     return Channel(unique & (kMaxChannels - 1));
   }
-  uint64_t MakeUnique(size_t channel) {
-    return (next_unique_.fetch_add(1) << kChannelBits) | channel;
-  }
-  // Ring-mode uniques additionally carry the completion-slot index, so a
-  // reply (or an interrupt) finds its slot without any lookup table:
+  // Uniques carry the channel and the completion-slot index, so a reply (or
+  // an interrupt) finds its slot without any lookup table:
   // (seq << 16) | (slot << 6) | channel.
-  uint64_t MakeRingUnique(size_t channel, size_t slot) {
+  uint64_t MakeUnique(size_t channel, size_t slot) {
     return (next_unique_.fetch_add(1) << (kChannelBits + kRingSlotBits)) |
            (static_cast<uint64_t>(slot) << kChannelBits) | channel;
   }
   static size_t SlotOfUnique(uint64_t unique) {
     return (unique >> kChannelBits) & (kMaxRingDepth - 1);
   }
-  // Monotonic occupancy update without ch.mu (both transports use it).
+  // Monotonic occupancy update (lock-free fetch-max).
   static void BumpBusyUntil(FuseChannel& ch, uint64_t now_ns) {
     uint64_t cur = ch.busy_until_ns.load(std::memory_order_relaxed);
     while (cur < now_ns && !ch.busy_until_ns.compare_exchange_weak(
                                cur, now_ns, std::memory_order_relaxed)) {
     }
   }
-  // Pops the front of `ch` if non-empty (ch.mu must not be held). Consumes
-  // the lane bytes of a spliced request's payload.
-  std::optional<FuseRequest> TryPop(FuseChannel& ch);
   // Request-direction gate: lets a spliced WRITE payload onto lane_in, or
   // flattens it to the copy path (lane full / channel opted out).
   void GateRequestPayload(FuseChannel& ch, FuseRequest& request);
@@ -536,9 +536,13 @@ class FuseConn {
   bool MaybeGrowLanes(FuseChannel& ch, uint64_t wanted_bytes);
   // Post-enqueue wakeup handshake with idle workers.
   void NotifyWork();
-  // Appends `n` fresh channels to owned_channels_ and publishes them through
-  // the table (config_mu_ held).
-  void InstallChannels(size_t n);
+  // Appends `n` fresh channels of the current ring depth to owned_channels_
+  // and publishes them through the table (config_mu_ held). With `inherit`,
+  // channel i first takes over the state of the channel it replaces.
+  void InstallChannels(size_t n, bool inherit = false);
+  // Virtual cost of submitting one reply-carrying request on `ch` under the
+  // current profile.
+  uint64_t SubmitCostNs(const FuseChannel& ch) const;
   // Real-time deadline sweeper body (one background thread while armed).
   void SweeperLoop();
   void StopSweeper();
@@ -553,11 +557,13 @@ class FuseConn {
   // Fires the registered pool work observer, if armed (one relaxed load
   // when not).
   void NotifyWorkObserver();
-  // Enqueues the kInterrupt notification for an in-flight `unique` (ch.mu
-  // must not be held).
-  void EnqueueInterruptNotify(FuseChannel& ch, size_t ch_idx, uint64_t unique);
+  // Enqueues the kInterrupt notification for an in-flight `unique`.
+  void EnqueueInterruptNotify(FuseChannel& ch, uint64_t unique);
+  // Resolves a Pending slot held in kSlotSweeping as interrupted: wakes its
+  // waiter and, when the server already reaped the request, notifies it.
+  void InterruptClaimedSlot(FuseChannel& ch, RingSlot& slot, uint64_t ctrl);
 
-  // --- submission-ring paths (see docs/transport.md "Submission rings") ---
+  // --- ring internals (see docs/transport.md "Submission rings") ---
   // Actions RingSendAndWait defers to its caller: both wake parked peers
   // (or sweep every channel, for Abort), and neither may run while the
   // caller still holds reshape_mu_ shared — submitters park on those very
@@ -567,25 +573,19 @@ class FuseConn {
     bool wake_submitters = false;
     bool abort_conn = false;
   };
-  StatusOr<FuseReply> RingSendAndWait(FuseChannel& ch, RingState& ring, size_t ch_idx,
-                                      FuseRequest request, RingPostActions* post);
-  void RingSendNoReply(FuseChannel& ch, RingState& ring, size_t ch_idx,
-                       FuseRequest request);
+  StatusOr<FuseReply> RingSendAndWait(FuseChannel& ch, size_t ch_idx, FuseRequest request,
+                                      RingPostActions* post);
   // Claims a free completion slot (kSlotFree -> kSlotInit); -1 when none.
   int RingAllocSlot(RingState& ring);
   // Pushes one SQE, parking on a full ring (bounded waits; aborts bail out).
   // Returns false when the connection aborted before the push landed.
-  bool RingPushSqe(FuseChannel& ch, RingState& ring, FuseRequest request);
+  bool RingPushSqe(FuseChannel& ch, FuseRequest request);
   // Drains up to `max_batch` SQ entries of `ch` into `out`. Returns how many
   // were delivered (resolved-before-claim entries are dropped in place).
-  size_t RingReap(FuseChannel& ch, RingState& ring, std::vector<FuseRequest>& out,
-                  size_t max_batch);
+  size_t RingReap(FuseChannel& ch, std::vector<FuseRequest>& out, size_t max_batch);
   // Marks a reaped SQE's slot as server-claimed; false when its waiter was
   // already resolved (interrupt/timeout/abort) and the entry must be dropped.
   bool RingClaimSqe(RingState& ring, const FuseRequest& req);
-  void RingWriteReply(FuseChannel& ch, RingState& ring, uint64_t unique,
-                      FuseReply reply);
-  bool RingInterrupt(FuseChannel& ch, RingState& ring, size_t ch_idx, uint64_t unique);
   // Wakes parked completion waiters (no virtual cost: control plane only).
   void RingWakeWaiters(RingState& ring);
   // Wakes submitters parked on a full ring after capacity was released.
@@ -599,8 +599,9 @@ class FuseConn {
   std::atomic<bool> aborted_{false};
 
   // Channel publication: readers (routing, enqueue, dequeue, reply) index
-  // the fixed-size atomic pointer table lock-free; ConfigureChannels
-  // installs new pointers and only then publishes the count. Every channel
+  // the fixed-size atomic pointer table lock-free; ConfigureChannels,
+  // TryReshapeChannels and ConfigureRing install new pointers and only then
+  // publish the count. Every channel
   // ever created stays in owned_channels_ until the connection dies, so a
   // sender racing a (guarded, protocol-violating) reshape reads a stale but
   // valid channel — never freed memory; at worst its request sits unserved
@@ -610,23 +611,23 @@ class FuseConn {
   mutable analysis::CheckedMutex config_mu_{"fuse.conn.config"};  // serializes reshape and Abort's owned sweep
   std::vector<std::unique_ptr<FuseChannel>> owned_channels_;
   // Submitters hold this shared across their whole route+enqueue+wait
-  // window; TryReshapeChannels try-locks it exclusive, so a live reshape can
-  // only fire when no sender holds a channel index derived from the old
-  // count. Abort never touches it (parked submitters still holding shared
+  // window; TryReshapeChannels and ConfigureRing try-lock it exclusive, so a
+  // live reshape can only fire when no sender holds a channel it would
+  // replace. Abort never touches it (parked submitters still holding shared
   // must stay wakeable).
   mutable analysis::CheckedSharedMutex reshape_mu_{"fuse.conn.reshape"};
 
   // Idle workers park here; any enqueue (to any channel) wakes one. The
-  // per-channel locks stay out of this handshake so enqueue/dequeue on
-  // different channels never touch the same contended line for long.
+  // rings stay out of this handshake, so enqueue/dequeue on different
+  // channels never touch the same contended line for long.
   analysis::CheckedMutex idle_mu_{"fuse.conn.idle"};
   analysis::CheckedCondVar work_cv_{"fuse.conn.idle.work_cv"};
   std::atomic<int> idle_workers_{0};
   std::atomic<uint64_t> queued_total_{0};
 
-  // --- submission rings ---
-  std::atomic<bool> ring_enabled_{false};
-  std::atomic<uint64_t> ring_depth_{0};
+  // --- transport profile and ring geometry ---
+  std::atomic<TransportProfile> profile_{TransportProfile::kWakeup};
+  std::atomic<uint64_t> ring_depth_{kDefaultRingDepth};
   std::atomic<uint32_t> ring_spin_budget_{kDefaultRingSpinBudget};
   // Spin budget after oversubscription backoff (satellite: pool threads <
   // active channels must not burn the full configured spin before parking).

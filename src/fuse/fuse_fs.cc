@@ -217,12 +217,11 @@ Status FuseFs::NegotiateInit() {
                     (opts_.writeback_cache ? kFuseWritebackCache : 0) |
                     (opts_.readdirplus ? kFuseDoReaddirplus : 0) |
                     (opts_.max_pages > 0 ? kFuseMaxPages : 0) |
-                    (opts_.ring_enabled && opts_.ring_depth > 0 ? kFuseRingSubmission
-                                                                : 0);
+                    (opts_.ring_enabled ? kFuseRingSubmission : 0);
   init.max_pages = std::min(opts_.max_pages, kFuseMaxMaxPages);
-  // INIT itself always rides the legacy wakeup path: the connection is
-  // fresh, nothing is negotiated yet, and ConfigureRing below only switches
-  // a quiet connection — i.e. after this reply has fully drained.
+  // INIT itself always pays the wakeup profile: the connection is fresh,
+  // nothing is negotiated yet, and ConfigureRing below only switches a
+  // quiet connection — i.e. after this reply has fully drained.
   CNTR_ASSIGN_OR_RETURN(FuseReply init_reply, conn_->SendAndWait(std::move(init)));
   readdirplus_enabled_ =
       opts_.readdirplus && (init_reply.init_flags & kFuseDoReaddirplus) != 0;
@@ -233,12 +232,11 @@ Status FuseFs::NegotiateInit() {
   splice_move_enabled_ =
       opts_.splice_move && (init_reply.init_flags & kFuseSpliceMove) != 0;
 
-  // Submission rings: both sides must speak them (an old server echoes the
-  // flags without the bit and the mount stays on the wakeup path), and the
+  // Ring profile: both sides must speak it (an old server echoes the flags
+  // without the bit and the mount keeps the wakeup profile), and the
   // connection must accept the switch.
   ring_enabled_ = false;
-  if (opts_.ring_enabled && opts_.ring_depth > 0 &&
-      (init_reply.init_flags & kFuseRingSubmission) != 0) {
+  if (opts_.ring_enabled && (init_reply.init_flags & kFuseRingSubmission) != 0) {
     ring_enabled_ =
         conn_->ConfigureRing(opts_.ring_depth, opts_.ring_spin_budget) > 0;
   }

@@ -116,14 +116,18 @@ struct FuseMountOptions {
   bool lane_autosize = true;
 
   // --- Submission-ring transport (docs/transport.md "Submission rings") ---
-  // Ask for kFuseRingSubmission at INIT: each channel swaps the per-request
-  // wakeup handshake for SQ/CQ ring buffers — batched submission, multi-reap,
-  // out-of-order completion. An old server that does not ack the flag keeps
-  // the mount on the legacy path transparently.
+  // Ask for kFuseRingSubmission at INIT: when the server acks it, the
+  // connection switches from the paper-era wakeup cost profile (a round
+  // trip plus a per-reader contention premium per request, one request per
+  // server read) to the ring profile (SQE + doorbell + CQE, burst reaps).
+  // Every mount rides the same SQ/CQ rings either way; an old server that
+  // does not ack the flag keeps the wakeup profile transparently.
   bool ring_enabled = true;
-  // Entries per ring (submission queue and completion slots). Rounded up to
-  // a power of two in [8, 1024]; also the per-channel in-flight ceiling.
-  uint32_t ring_depth = 64;
+  // Entries per ring (submission queue and completion slots), applied with
+  // the ring profile. Rounded up to a power of two in [8, 1024] (0 counts
+  // as 8); also the per-channel in-flight ceiling. A wakeup-profile
+  // connection keeps the default depth, kDefaultRingDepth.
+  uint32_t ring_depth = static_cast<uint32_t>(kDefaultRingDepth);
   // Iterations a completion waiter (or idle worker) spin-polls before
   // parking. Higher burns CPU to shave wakeup latency; 0 parks immediately.
   uint32_t ring_spin_budget = kDefaultRingSpinBudget;
@@ -167,7 +171,7 @@ struct FuseMountOptions {
     o.dirty_hard_bytes = 256ull << 20;
     o.per_inode_dirty_bytes = UINT64_MAX;
     o.lane_autosize = false;
-    o.ring_enabled = false;  // paper-era wakeup transport, bit-identical
+    o.ring_enabled = false;  // paper-era wakeup cost profile, bit-identical
     return o;
   }
   // Everything off (the "before" bars in Figure 3).
@@ -184,7 +188,7 @@ struct FuseMountOptions {
     o.max_pages = 0;         // legacy 32-page / 128KiB windows
     o.flusher_threads = 0;   // synchronous flush at the hard watermark
     o.lane_autosize = false;
-    o.ring_enabled = false;  // per-request wakeup transport
+    o.ring_enabled = false;  // per-request wakeup cost profile
     return o;
   }
 };
@@ -220,8 +224,8 @@ class FuseFs : public kernel::FileSystem, public std::enable_shared_from_this<Fu
   bool splice_read_enabled() const { return splice_read_enabled_; }
   bool splice_write_enabled() const { return splice_write_enabled_; }
   bool splice_move_enabled() const { return splice_move_enabled_; }
-  // True when the mount asked for the submission-ring transport, the server
-  // acked kFuseRingSubmission, and the connection switched over.
+  // True when the mount offered kFuseRingSubmission, the server acked it,
+  // and the connection switched to the ring cost profile.
   bool ring_enabled() const { return ring_enabled_; }
 
   // --- negotiated I/O windows (FUSE_MAX_PAGES) ---

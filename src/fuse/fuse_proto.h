@@ -73,10 +73,11 @@ inline constexpr uint32_t kFuseDoReaddirplus = 1 << 13;
 inline constexpr uint32_t kFuseParallelDirops = 1 << 18;
 inline constexpr uint32_t kFuseWritebackCache = 1 << 16;
 inline constexpr uint32_t kFuseMaxPages = 1 << 22;  // max_pages field is valid
-// Submission-ring transport (the FUSE-over-io_uring lineage; the real
-// kernel carries FUSE_OVER_IO_URING in flags2, here it rides the one flags
-// word): the kernel facade submits through per-channel SQ/CQ rings instead
-// of the per-request wakeup handshake. See docs/transport.md.
+// Ring cost profile (the FUSE-over-io_uring lineage; the real kernel
+// carries FUSE_OVER_IO_URING in flags2, here it rides the one flags word):
+// every mount submits through per-channel SQ/CQ rings, and an acked flag
+// switches the connection from the per-request wakeup cost profile to the
+// ring's SQE/doorbell/CQE costs and burst reaps. See docs/transport.md.
 inline constexpr uint32_t kFuseRingSubmission = 1u << 27;
 
 // Hard protocol ceiling on a negotiated request/reply payload

@@ -1,7 +1,7 @@
 // Submission-ring transport structures for /dev/fuse (io_uring lineage).
 //
-// One RingState per FuseChannel replaces the mutex+deque+pending-map
-// handshake when the mount negotiates kFuseRingSubmission:
+// Every FuseChannel carries one RingState; it is the connection's only
+// request path (fuse_conn.h explains the two cost profiles it runs under):
 //
 //   * Submission queue (SQ): a bounded lock-free MPMC ring of FuseRequest.
 //     The kernel facade fills entries, the server reaps whole bursts in one
@@ -42,6 +42,8 @@ namespace cntr::fuse {
 inline constexpr size_t kRingSlotBits = 10;
 inline constexpr size_t kMinRingDepth = 8;
 inline constexpr size_t kMaxRingDepth = size_t{1} << kRingSlotBits;  // 1024
+// Depth a connection's rings start with, before the mount negotiates its own.
+inline constexpr size_t kDefaultRingDepth = 64;
 // Iterations a waiter (or an idle worker) spin-polls before parking.
 inline constexpr uint32_t kDefaultRingSpinBudget = 2000;
 // Most SQ entries a single reap pass hands to one worker.
@@ -167,12 +169,9 @@ struct alignas(64) RingSlot {
 };
 
 struct RingState {
-  RingState(size_t depth, uint32_t spin_budget)
-      : depth(depth), spin_budget(spin_budget == 0 ? 1 : spin_budget), sq(depth),
-        slots(depth) {}
+  explicit RingState(size_t depth) : depth(depth), sq(depth), slots(depth) {}
 
   const size_t depth;
-  const uint32_t spin_budget;
   MpmcRing<FuseRequest> sq;
   std::vector<RingSlot> slots;
   // Rotating start for the completion-slot allocation scan.

@@ -51,12 +51,11 @@ void FuseServer::WorkerLoop(size_t home_channel) {
   fault::FaultRegistry* faults = conn_->faults();
   bool killed = false;
   while (!killed) {
-    // Ring mode: one wakeup reaps the whole burst that accumulated while
-    // this worker was busy, then the batch is handled back to back — the
-    // multi-reap amortization. The legacy path delivers batches of one.
-    std::vector<FuseRequest> batch =
-        conn_->ring_enabled() ? conn_->ReadRequestBatch(home_channel)
-                              : conn_->ReadRequestBatch(home_channel, 1);
+    // One wakeup reaps what the connection's profile hands over — on the
+    // ring profile the whole burst that accumulated while this worker was
+    // busy (the multi-reap amortization), on the wakeup profile a single
+    // request — and the batch is handled back to back.
+    std::vector<FuseRequest> batch = conn_->ReadRequestBatch(home_channel);
     if (batch.empty()) {
       break;  // connection aborted and queues drained
     }

@@ -483,10 +483,10 @@ void FuseServerPool::ControllerLoop() {
 
 void FuseServerPool::RunControllerPass() {
   // Quarantined connections are aborted only after controller_pass_mu_ is
-  // released below: Abort() notifies every channel's reply_cv, and waking
+  // released below: Abort() notifies every channel's fuse.ring.cq.cv, and waking
   // waiters while holding the pass lock — which this pass also holds while
   // blocking on conn->queued_depth()'s reshape_mu_ — closes the
-  // reshape_mu_ ~> reply_cv ~> controller_pass cycle lockdep reports.
+  // reshape_mu_ ~> cq.cv ~> controller_pass cycle lockdep reports.
   std::vector<std::shared_ptr<FuseConn>> deferred_aborts;
   {
     // Serialize with the background cadence: Mount's controller-side fields

@@ -209,7 +209,7 @@ class FuseServerPool {
   // Moves the mount to kQuarantined and drains its connection. With a
   // non-null `deferred_aborts`, the connection Abort() is handed back to
   // the caller instead of running inline — required when the caller holds
-  // controller_pass_mu_ (aborting notifies reply_cv waiters, and doing so
+  // controller_pass_mu_ (aborting notifies completion waiters, and doing so
   // under the pass lock closes a lock/wait cycle; see RunControllerPass).
   void Quarantine(Mount& m,
                   std::vector<std::shared_ptr<FuseConn>>* deferred_aborts = nullptr);

@@ -19,11 +19,11 @@
 //   service = reply - dispatch   (handler time)
 //   transit = wake - reply       (completion delivery + waiter wakeup)
 //
-// Stamps are relaxed atomics: on the legacy path they are ordered by the
-// channel mutex, on the ring path by the completion slot's release/acquire
-// publication — except under timeout/interrupt/abort, where the waiter can
-// resolve while the server is still stamping; relaxed atomics keep that
-// benign (phases needing an unwritten stamp collapse to zero).
+// Stamps are relaxed atomics, ordered by the completion slot's
+// release/acquire publication — except under timeout/interrupt/abort, where
+// the waiter can resolve while the server is still stamping; relaxed
+// atomics keep that benign (phases needing an unwritten stamp collapse to
+// zero).
 //
 // Spans never advance the clock. All stamps are NowNs() reads on the
 // request's own lane, so compiling tracing in leaves virtual time — and

@@ -5,15 +5,16 @@
 //
 //   1. A timed-out submitter escalated to FuseConn::Abort() while still
 //      holding reshape_mu_ shared — Abort sweeps and notifies every
-//      channel's reply_cv, and other submitters park on reply_cv holding
-//      reshape_mu_ shared (reply_cv <-> reshape_mu_ cycle).
+//      channel's completion condvar (fuse.ring.cq.cv), and other submitters
+//      park on it holding reshape_mu_ shared (cq.cv <-> reshape_mu_ cycle).
 //   2. A ring submitter freed its completion slot and woke SQ-full parkers
 //      (sq_cv) before releasing reshape_mu_; the parkers hold reshape_mu_
 //      shared (sq_cv <-> reshape_mu_ cycle).
 //   3. FuseServerPool::RunControllerPass quarantined a crashed mount —
-//      Abort(), notifying reply_cv — while holding controller_pass_mu_,
-//      which the same pass also holds while blocking on queued_depth()'s
-//      reshape_mu_ (reshape ~> reply_cv ~> controller_pass ~> reshape).
+//      Abort(), notifying fuse.ring.cq.cv — while holding
+//      controller_pass_mu_, which the same pass also holds while blocking on
+//      queued_depth()'s reshape_mu_ (reshape ~> cq.cv ~> controller_pass ~>
+//      reshape).
 //   4. MetricsRegistry exposition invoked sampling callbacks under the
 //      registry mutex; callbacks take subsystem locks (dcache shards,
 //      page-cache stats) that instrumented request paths hold while
@@ -72,7 +73,9 @@ class LockdepRegressionTest : public ::testing::Test {
   bool was_enabled_ = false;
 };
 
-// Finding 1: timeout-escalated Abort no longer runs under reshape_mu_.
+// Finding 1: timeout-escalated Abort no longer runs under reshape_mu_. The
+// timed-out waiters park on fuse.ring.cq.cv holding reshape_mu_ shared
+// (recording reshape -> cq.cv); the escalating Abort notifies that condvar.
 TEST_F(LockdepRegressionTest, TimeoutEscalatedAbortDoesNotNotifyUnderReshape) {
   SimClock clock;
   CostModel costs;
@@ -133,7 +136,7 @@ TEST_F(LockdepRegressionTest, RingSqWakeupsHappenOutsideTheReshapeWindow) {
 
 // Finding 3: the controller pass defers quarantine Aborts until
 // controller_pass_mu_ is released. A submitter parked on another
-// connection's reply_cv records the class-level reshape -> reply_cv edge;
+// connection's fuse.ring.cq.cv records the class-level reshape -> cq.cv edge;
 // the pass must quarantine the crashed mount (Abort -> notify) and poll the
 // healthy mount's queued_depth (reshape_mu_) without closing the cycle.
 TEST_F(LockdepRegressionTest, ControllerPassQuarantineAbortsOutsidePassLock) {
@@ -145,14 +148,14 @@ TEST_F(LockdepRegressionTest, ControllerPassQuarantineAbortsOutsidePassLock) {
   CostModel costs;
   NullHandler handler;
 
-  // Standalone connection with a parked submitter: records
-  // reshape(shared) -> reply_cv in the class graph, exactly what a live
-  // tenant's in-flight request contributes.
+  // Standalone connection with a parked submitter: once its spin budget
+  // runs out it records reshape(shared) -> fuse.ring.cq.cv in the class
+  // graph, exactly what a live tenant's in-flight request contributes.
   FuseConn parked(&clock, &costs);
   std::thread submitter([&] {
     (void)parked.SendAndWait(FuseRequest{});  // resolves ENOTCONN on Abort
   });
-  while (parked.queued_depth() == 0) {
+  while (parked.stats().spin_parks == 0) {
     std::this_thread::yield();
   }
 

@@ -63,11 +63,14 @@ TEST_F(LockdepTest, AbBaInversionDetectedWithBothStacks) {
   EXPECT_EQ(ReportCount(), 0u);
   EXPECT_EQ(LockdepEdgeCount(), 1u);
 
-  // The inverted order closes the cycle — reported before anything blocks.
-  b.lock();
-  a.lock();
-  a.unlock();
-  b.unlock();
+  // The inverted order, on other instances of the same classes, closes the
+  // cycle — reported before anything blocks.
+  CheckedMutex a2("test.lockdep.a");
+  CheckedMutex b2("test.lockdep.b");
+  b2.lock();
+  a2.lock();
+  a2.unlock();
+  b2.unlock();
 
   ASSERT_EQ(ReportCount(), 1u);
   LockdepReport r = Report(0);
@@ -83,6 +86,8 @@ TEST_F(LockdepTest, AbBaInversionDetectedWithBothStacks) {
 TEST_F(LockdepTest, InversionAcrossThreadsDetected) {
   CheckedMutex a("test.lockdep.xthread.a");
   CheckedMutex b("test.lockdep.xthread.b");
+  CheckedMutex a2("test.lockdep.xthread.a");
+  CheckedMutex b2("test.lockdep.xthread.b");
 
   std::thread t1([&] {
     a.lock();
@@ -93,10 +98,10 @@ TEST_F(LockdepTest, InversionAcrossThreadsDetected) {
   t1.join();
 
   std::thread t2([&] {
-    b.lock();
-    a.lock();
-    a.unlock();
-    b.unlock();
+    b2.lock();
+    a2.lock();
+    a2.unlock();
+    b2.unlock();
   });
   t2.join();
 
@@ -112,11 +117,13 @@ TEST_F(LockdepTest, EachInversionReportedOnce) {
   b.unlock();
   a.unlock();
 
+  CheckedMutex a2("test.lockdep.oneshot.a");
+  CheckedMutex b2("test.lockdep.oneshot.b");
   for (int i = 0; i < 3; ++i) {
-    b.lock();
-    a.lock();
-    a.unlock();
-    b.unlock();
+    b2.lock();
+    a2.lock();
+    a2.unlock();
+    b2.unlock();
   }
   EXPECT_EQ(ReportCount(), 1u) << "one report per distinct inversion";
 }
@@ -136,10 +143,12 @@ TEST_F(LockdepTest, ThreeLockCycleDetectedTransitively) {
   b.unlock();
   EXPECT_EQ(ReportCount(), 0u);
 
-  c.lock();
-  a.lock();  // closes c -> a with a ~> b ~> c recorded
-  a.unlock();
-  c.unlock();
+  CheckedMutex a2("test.lockdep.tri.a");
+  CheckedMutex c2("test.lockdep.tri.c");
+  c2.lock();
+  a2.lock();  // closes c -> a with a ~> b ~> c recorded
+  a2.unlock();
+  c2.unlock();
   ASSERT_EQ(ReportCount(), 1u);
   EXPECT_GE(Report(0).cycle_nodes.size(), 3u);
 }
@@ -265,10 +274,12 @@ TEST_F(LockdepTest, StripedSubclassOutOfOrderNestingReported) {
   s1.unlock();
   s0.unlock();
 
-  s1.lock();
-  s0.lock();  // inverted stripe order: reported like any other inversion
-  s0.unlock();
-  s1.unlock();
+  CheckedMutex s0b("test.lockdep.stripebad.shard", 0);
+  CheckedMutex s1b("test.lockdep.stripebad.shard", 1);
+  s1b.lock();
+  s0b.lock();  // inverted stripe order: reported like any other inversion
+  s0b.unlock();
+  s1b.unlock();
   EXPECT_EQ(ReportCount(), 1u);
 }
 
@@ -320,10 +331,12 @@ TEST_F(LockdepTest, LockNestedReleasesExactlyTheSubclassNode) {
   EXPECT_EQ(ReportCount(), 0u);
 
   // Inverting the declared hierarchy is still an inversion.
-  child_a.lock_nested(2);
-  second.lock_nested(1);
-  second.unlock();
-  child_a.unlock();
+  CheckedMutex child_c("test.lockdep.nested.inode");
+  CheckedMutex second_b("test.lockdep.nested.inode");
+  child_c.lock_nested(2);
+  second_b.lock_nested(1);
+  second_b.unlock();
+  child_c.unlock();
   EXPECT_EQ(ReportCount(), 1u);
 }
 
@@ -357,15 +370,17 @@ TEST_F(LockdepTest, GateOffIsPassthrough) {
   SetLockdepEnabled(false);
   CheckedMutex a("test.lockdep.off.a");
   CheckedMutex b("test.lockdep.off.b");
+  CheckedMutex a2("test.lockdep.off.a");
+  CheckedMutex b2("test.lockdep.off.b");
 
   a.lock();
   b.lock();
   b.unlock();
   a.unlock();
-  b.lock();
-  a.lock();
-  a.unlock();
-  b.unlock();
+  b2.lock();
+  a2.lock();
+  a2.unlock();
+  b2.unlock();
 
   EXPECT_EQ(ReportCount(), 0u);
   EXPECT_EQ(LockdepEdgeCount(), 0u);

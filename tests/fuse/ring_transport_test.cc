@@ -2,8 +2,9 @@
 // completion to the right waiters, SQ-full backpressure vs. the admission
 // gate, FORGET ordering across a reap boundary, interrupt and deadline
 // expiry of ring-resident requests, abort with entries in flight, multi-reap
-// batch accounting, paper-config determinism on the wakeup path, splice
-// payloads over rings, and the ring fault points degrading cleanly.
+// batch accounting, the exact charges of both cost profiles, the paper-era
+// timeline pinned to golden values, splice payloads over rings, and the ring
+// fault points degrading cleanly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -54,10 +55,11 @@ TEST(RingTransportTest, ConfigureRingClampsAndIsOneShot) {
   CostModel costs;
   {
     FuseConn conn(&clock, &costs, 2);
-    EXPECT_FALSE(conn.ring_enabled());
+    EXPECT_EQ(conn.profile(), TransportProfile::kWakeup);
+    EXPECT_EQ(conn.ring_depth(), kDefaultRingDepth);
     // Depth rounds up to a power of two within [kMinRingDepth, kMaxRingDepth].
     EXPECT_EQ(conn.ConfigureRing(10), 16u);
-    EXPECT_TRUE(conn.ring_enabled());
+    EXPECT_EQ(conn.profile(), TransportProfile::kRing);
     EXPECT_EQ(conn.ring_depth(), 16u);
     // Already enabled: the switch is one-shot, the current depth sticks.
     EXPECT_EQ(conn.ConfigureRing(256), 16u);
@@ -65,14 +67,58 @@ TEST(RingTransportTest, ConfigureRingClampsAndIsOneShot) {
   }
   {
     FuseConn conn(&clock, &costs, 1);
-    EXPECT_EQ(conn.ConfigureRing(0), 0u) << "depth 0 opts out";
-    EXPECT_FALSE(conn.ring_enabled());
     EXPECT_EQ(conn.ConfigureRing(1), kMinRingDepth);
     EXPECT_EQ(conn.ConfigureRing(1 << 20), kMinRingDepth)
         << "second switch refused: the established depth sticks";
     EXPECT_EQ(conn.ring_depth(), kMinRingDepth);
     conn.Abort();
   }
+}
+
+// The two cost profiles, charge by charge, on a raw connection with four
+// server threads homed on its one channel (the paper's Figure 4 setup).
+TEST(RingTransportTest, CostProfilesChargeExactly) {
+  SimClock clock;
+  CostModel costs;
+  FuseConn conn(&clock, &costs, 1);
+  for (int i = 0; i < 4; ++i) {
+    conn.AddReader(0);
+  }
+  auto round_trip = [&] {
+    std::thread server([&] {
+      auto req = conn.ReadRequest(0);
+      ASSERT_TRUE(req.has_value());
+      conn.WriteReply(req->unique, FuseReply{});
+    });
+    uint64_t before = clock.NowNs();
+    EXPECT_TRUE(conn.SendAndWait(GetattrFrom(7)).ok());
+    server.join();
+    return clock.NowNs() - before;
+  };
+  auto forget = [&] {
+    uint64_t before = clock.NowNs();
+    conn.SendNoReply(ForgetFrom(7));
+    uint64_t spent = clock.NowNs() - before;
+    EXPECT_EQ(conn.ReadRequest(0)->opcode, FuseOpcode::kForget);
+    return spent;
+  };
+
+  // Wakeup profile: one round trip plus the premium of the three extra
+  // readers; a FORGET pays half a round trip.
+  ASSERT_EQ(conn.profile(), TransportProfile::kWakeup);
+  EXPECT_EQ(round_trip(), costs.fuse_round_trip_ns + 3 * costs.fuse_thread_contention_ns);
+  EXPECT_EQ(forget(), costs.fuse_round_trip_ns / 2);
+
+  // Ring profile: SQE + doorbell + CQE, no premium; a FORGET is one SQE.
+  ASSERT_EQ(conn.ConfigureRing(kDefaultRingDepth), kDefaultRingDepth);
+  EXPECT_EQ(round_trip(),
+            costs.fuse_ring_sqe_ns + costs.fuse_ring_doorbell_ns + costs.fuse_ring_cqe_ns);
+  EXPECT_EQ(forget(), costs.fuse_ring_sqe_ns);
+
+  for (int i = 0; i < 4; ++i) {
+    conn.RemoveReader(0);
+  }
+  conn.Abort();
 }
 
 TEST(RingTransportTest, OutOfOrderCompletionReachesTheRightWaiters) {
@@ -510,42 +556,49 @@ class RingMountTest : public ::testing::Test {
 TEST_F(RingMountTest, NegotiationIsOnByDefaultAndOptOutStaysLegacy) {
   Mount(FuseMountOptions::Optimized());
   EXPECT_TRUE(fuse_fs_->ring_enabled());
-  EXPECT_TRUE(conn_->ring_enabled());
+  EXPECT_EQ(conn_->profile(), TransportProfile::kRing);
+  EXPECT_EQ(conn_->ring_depth(), FuseMountOptions::Optimized().ring_depth);
   EXPECT_TRUE(kernel_->Stat(*proc_, "/m/tmp").ok());
   EXPECT_GE(conn_->stats().reaped_requests, 1u) << "traffic rode the rings";
 
-  // Mount-side opt-out: the flag is never offered, the conn stays legacy.
+  // Mount-side opt-out: the flag is never offered, the conn keeps the
+  // wakeup profile — on the same rings, which every mount rides.
   FuseMountOptions off = FuseMountOptions::Optimized();
   off.ring_enabled = false;
   Remount(off);
   EXPECT_FALSE(fuse_fs_->ring_enabled());
-  EXPECT_FALSE(conn_->ring_enabled());
+  EXPECT_EQ(conn_->profile(), TransportProfile::kWakeup);
   EXPECT_TRUE(kernel_->Stat(*proc_, "/m/tmp").ok());
   auto stats = conn_->stats();
-  EXPECT_EQ(stats.reaps, 0u);
-  EXPECT_EQ(stats.doorbells, 0u);
+  EXPECT_GE(stats.reaped_requests, 1u);
+  EXPECT_EQ(stats.max_reqs_per_reap, 1u) << "the wakeup profile reaps one at a time";
 }
 
 TEST_F(RingMountTest, PaperConfigStaysOnWakeupPathBitIdentically) {
-  // Paper() pins rings off: the paper-era mount must produce the exact
-  // virtual timeline it produced before the ring transport existed — run
-  // the same workload on two fresh stacks and require equality.
-  Mount(FuseMountOptions::Paper());
-  EXPECT_FALSE(fuse_fs_->ring_enabled());
-  EXPECT_FALSE(conn_->ring_enabled());
-  uint64_t first = RunWorkload();
-  auto stats = conn_->stats();
-  EXPECT_EQ(stats.reaps, 0u);
-  EXPECT_EQ(stats.doorbells, 0u);
-  EXPECT_EQ(stats.spin_parks, 0u);
-
-  Remount(FuseMountOptions::Paper());
-  uint64_t second = RunWorkload();
-  EXPECT_EQ(first, second) << "paper-era wakeup path must stay deterministic";
-
-  // Baseline() opts out the same way.
-  Remount(FuseMountOptions::Baseline());
-  EXPECT_FALSE(fuse_fs_->ring_enabled());
+  // Golden virtual durations of RunWorkload(), recorded when the paper-era
+  // wakeup handshake was still a separate request path. The wakeup cost
+  // profile must reproduce those timelines exactly, and the ring profile
+  // must keep its own.
+  FuseMountOptions no_rings = FuseMountOptions::Optimized();
+  no_rings.ring_enabled = false;  // bench_optimizations' OptimizedNoRings()
+  struct Case {
+    const char* name;
+    FuseMountOptions opts;
+    TransportProfile profile;
+    uint64_t golden_ns;
+  };
+  const Case cases[] = {
+      {"Paper", FuseMountOptions::Paper(), TransportProfile::kWakeup, 176'950},
+      {"Baseline", FuseMountOptions::Baseline(), TransportProfile::kWakeup, 224'100},
+      {"OptimizedNoRings", no_rings, TransportProfile::kWakeup, 170'300},
+      {"Optimized", FuseMountOptions::Optimized(), TransportProfile::kRing, 139'300},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Remount(c.opts);
+    EXPECT_EQ(conn_->profile(), c.profile);
+    EXPECT_EQ(RunWorkload(), c.golden_ns);
+  }
 }
 
 TEST_F(RingMountTest, SplicePayloadsRideTheRingsAndLanesDrain) {

@@ -1,5 +1,5 @@
-// Per-request tracing tests: span phase math, spans crossing the legacy and
-// ring transports (including out-of-order ring completion), outcome tagging,
+// Per-request tracing tests: span phase math, spans under the wakeup and
+// ring cost profiles (including out-of-order ring completion), outcome tagging,
 // the tracing kill switch, the slow-request log's level gate and rate limit,
 // the /proc/cntr/metrics exposition, and torn-free FuseConn::stats() reads
 // under concurrent traffic.
@@ -141,7 +141,7 @@ TEST(TraceTransportTest, LegacyRoundTripLandsPhaseHistograms) {
   for (const char* phase : {"total", "queue", "service", "transit"}) {
     EXPECT_EQ(PhaseSnap(&reg, mount, "GETATTR", phase).count, 1u) << phase;
   }
-  // The wakeup handshake charges virtual time, so the round trip is
+  // The wakeup cost profile charges virtual time, so the round trip is
   // strictly positive and at least as long as any single phase.
   Histogram::Snapshot total = PhaseSnap(&reg, mount, "GETATTR", "total");
   EXPECT_GT(total.sum, 0u);
