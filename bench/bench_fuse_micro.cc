@@ -48,7 +48,8 @@ void CreateUnlinkOp(kernel::Kernel& kernel, kernel::Process& proc, const std::st
   }
 }
 
-void StatColdOp(kernel::Kernel& kernel, kernel::Process& proc, const std::string& dir, int i) {
+void StatColdOp(kernel::Kernel& kernel, kernel::Process& proc, const std::string& dir,
+                int /*i*/) {
   static bool created = false;
   std::string path = dir + "/stat-target";
   if (!created) {
@@ -175,7 +176,8 @@ void BM_PageCacheInsertUnderDirtyPressure(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(pool.StorePage(&clean_owner, idx++, page, /*dirty=*/false));
   }
-  if (pool.stats().evictions - evictions_before != state.iterations()) {
+  if (pool.stats().evictions - evictions_before !=
+      static_cast<uint64_t>(state.iterations())) {
     state.SkipWithError("an insert did not evict exactly one page");
   }
   state.counters["dirty_run"] = static_cast<double>(dirty_run);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <type_traits>
 
@@ -209,6 +210,8 @@ FuseConn::FuseConn(SimClock* clock, const CostModel* costs, size_t num_channels,
   copied_bytes_ = counter("cntr_fuse_conn_copied_bytes_total");
   splice_fallbacks_ = counter("cntr_fuse_conn_splice_fallbacks_total");
   lane_growths_ = counter("cntr_fuse_conn_lane_growths_total");
+  sq_poll_hits_ = counter("cntr_fuse_conn_sq_poll_hits_total");
+  sq_poll_misses_ = counter("cntr_fuse_conn_sq_poll_misses_total");
   timeouts_ = counter("cntr_fuse_conn_timeouts_total");
   late_replies_ = counter("cntr_fuse_conn_late_replies_total");
   interrupts_ = counter("cntr_fuse_conn_interrupts_total");
@@ -344,6 +347,13 @@ void FuseConn::NotifyWork() {
   // increment before queued_total_ re-check there) guarantees that either
   // we see the parked worker or it sees our request.
   if (idle_workers_.load() == 0) {
+    return;
+  }
+  // A worker polling the SQ sees this request without a wakeup. The claim
+  // is seq_cst like the pairing above: PollSubmissions releases its flag
+  // before it re-reads queued_total_, so a claim that lands first is seen.
+  uint8_t polling = kSqPolling;
+  if (sq_poll_.compare_exchange_strong(polling, kSqPollClaimed)) {
     return;
   }
   // Empty critical section: a worker that evaluated "no work" under idle_mu_
@@ -739,12 +749,22 @@ std::vector<FuseRequest> FuseConn::ReadRequestBatch(size_t home_channel,
   }
   const size_t n = num_channels();
   const size_t home = home_channel % n;
+  // Only the first empty reap polls: a worker back from the park below
+  // has been idle for a while, and polling after every timeout would burn
+  // CPU on idle mounts.
+  bool may_poll = true;
   while (true) {
     // Home channel first, then steal from siblings in ring order so a
     // single hot channel still drains through every idle worker.
     for (size_t i = 0; i < n; ++i) {
       if (RingReap(Channel((home + i) % n), batch, max_batch) > 0) {
         return batch;
+      }
+    }
+    if (may_poll) {
+      may_poll = false;
+      if (PollSubmissions()) {
+        continue;
       }
     }
     std::unique_lock<analysis::CheckedMutex> idle(idle_mu_);
@@ -766,6 +786,45 @@ std::vector<FuseRequest> FuseConn::ReadRequestBatch(size_t home_channel,
       return batch;  // empty
     }
   }
+}
+
+namespace {
+
+// Spin-wait hint: lets a sibling hyperthread run while a poller spins.
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+}  // namespace
+
+bool FuseConn::PollSubmissions() {
+  uint8_t idle = kSqPollIdle;
+  if (!sq_poll_.compare_exchange_strong(idle, kSqPolling)) {
+    return false;  // a sibling is polling already: park
+  }
+  const uint64_t window_ns = sq_poll_window_.Next();
+  bool hit = false;
+  if (window_ns != 0) {
+    // Wall time, not the virtual clock: the poll replaces a real wakeup,
+    // and no virtual cost is charged for it.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::nanoseconds(window_ns);
+    while (!(hit = queued_total_.load(std::memory_order_relaxed) > 0) && !aborted() &&
+           std::chrono::steady_clock::now() < deadline) {
+      CpuRelax();
+    }
+    sq_poll_window_.Record(hit);
+    (hit ? sq_poll_hits_ : sq_poll_misses_)->Add();
+  }
+  // Release, then re-read (seq_cst, paired with NotifyWork's claim): a
+  // submission that claimed this poll skipped its wakeup and must not be
+  // left to the parked workers' 1 ms tick.
+  sq_poll_.store(kSqPollIdle);
+  return hit || queued_total_.load() > 0;
 }
 
 std::vector<FuseRequest> FuseConn::TryReadRequestBatch(size_t start_channel,

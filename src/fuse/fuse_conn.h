@@ -247,6 +247,10 @@ class FuseConn {
   // was busy. The wakeup profile hands over one request per read, as one
   // read(2) of the shared /dev/fuse queue does. Returns an empty batch when
   // the connection aborts and the rings are drained.
+  // Before it parks, the first empty reap of a read (for a server worker:
+  // right after it handled its previous batch) polls the queue for the
+  // connection's adaptive SqPollWindow, so a closed-loop caller's next
+  // request needs no futex wakeup; at most one worker per connection polls.
   std::vector<FuseRequest> ReadRequestBatch(size_t home_channel = 0,
                                             size_t max_batch = kRingReapBatch);
   // Non-blocking variant for shared-pool workers: drains up to `max_batch`
@@ -261,6 +265,9 @@ class FuseConn {
   // Tear down: wakes waiters with ENOTCONN and unblocks server readers.
   void Abort();
   bool aborted() const { return aborted_.load(std::memory_order_acquire); }
+
+  // True while a server worker polls the submission queue.
+  bool sq_polling() const { return sq_poll_.load(std::memory_order_acquire) != kSqPollIdle; }
 
   // --- request lifecycle hardening ---
 
@@ -536,6 +543,10 @@ class FuseConn {
   bool MaybeGrowLanes(FuseChannel& ch, uint64_t wanted_bytes);
   // Post-enqueue wakeup handshake with idle workers.
   void NotifyWork();
+  // The submission-queue poll ReadRequestBatch runs before it parks (see
+  // sq_poll_). Returns true when a submission arrived, so the caller
+  // rescans instead of parking.
+  bool PollSubmissions();
   // Appends `n` fresh channels of the current ring depth to owned_channels_
   // and publishes them through the table (config_mu_ held). With `inherit`,
   // channel i first takes over the state of the channel it replaces.
@@ -624,6 +635,14 @@ class FuseConn {
   analysis::CheckedCondVar work_cv_{"fuse.conn.idle.work_cv"};
   std::atomic<int> idle_workers_{0};
   std::atomic<uint64_t> queued_total_{0};
+  // The submission-queue poller: idle, polling, or polling with a
+  // submission that skipped its wakeup because the poller will see it
+  // (NotifyWork claims it; one claim per poll, later submitters wake a
+  // parked worker as usual). Its window is only touched by the worker that
+  // moved sq_poll_ off idle.
+  enum : uint8_t { kSqPollIdle, kSqPolling, kSqPollClaimed };
+  std::atomic<uint8_t> sq_poll_{kSqPollIdle};
+  SqPollWindow sq_poll_window_;
 
   // --- transport profile and ring geometry ---
   std::atomic<TransportProfile> profile_{TransportProfile::kWakeup};
@@ -658,6 +677,8 @@ class FuseConn {
   obs::Counter* copied_bytes_;
   obs::Counter* splice_fallbacks_;
   obs::Counter* lane_growths_;
+  obs::Counter* sq_poll_hits_;    // polls that caught a submission
+  obs::Counter* sq_poll_misses_;  // polls whose window ran out empty
   std::atomic<bool> lane_autosize_{false};
 
   // --- failure plane ---

@@ -60,13 +60,14 @@ void DiskModel::ChargeParallelWrite(uint64_t bytes, uint32_t ops, uint32_t queue
 
 void DiskModel::ReadData(Ino ino, uint64_t off, uint64_t len, char* out) const {
   std::lock_guard<analysis::CheckedMutex> lock(mu_);
-  std::memset(out, 0, len);
+  uint64_t n = 0;
   auto it = data_.find(ino);
-  if (it == data_.end() || off >= it->second.size()) {
-    return;
+  if (it != data_.end() && off < it->second.size()) {
+    n = std::min<uint64_t>(len, it->second.size() - off);
+    std::memcpy(out, it->second.data() + off, n);
   }
-  uint64_t n = std::min<uint64_t>(len, it->second.size() - off);
-  std::memcpy(out, it->second.data() + off, n);
+  // Past the stored bytes the disk reads zeros.
+  std::memset(out + n, 0, len - n);
 }
 
 void DiskModel::WriteData(Ino ino, uint64_t off, uint64_t len, const char* src) {

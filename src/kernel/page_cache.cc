@@ -49,7 +49,7 @@ bool PageCachePool::StorePage(CacheOwner owner, uint64_t idx, const char* data, 
   std::lock_guard<analysis::CheckedMutex> lock(shard.mu);
   auto it = shard.pages.find(key);
   if (it == shard.pages.end()) {
-    auto copy = std::make_shared<char[]>(kPageSize);
+    auto copy = std::make_shared_for_overwrite<char[]>(kPageSize);
     std::memcpy(copy.get(), data, kPageSize);
     InsertPageLocked(shard, key, std::move(copy), dirty);
   } else {
@@ -271,11 +271,10 @@ PageCachePool::StoreRefResult PageCachePool::StorePageRef(CacheOwner owner, uint
     result.mode = StoreRefMode::kAliased;
     ref_aliases_.fetch_add(1, std::memory_order_relaxed);
   } else {
-    // Copy fallback: short page, or shared without alias permission.
-    install = std::make_shared<char[]>(kPageSize);
-    if (ref.valid()) {
-      std::memcpy(install.get(), ref.data(), ref.len);
-    }
+    // Copy fallback: short page, or shared without alias permission. The
+    // tail past a short ref reads as zeros.
+    install = ref.valid() ? splice::PageRef::Copy(ref.data(), ref.len).page
+                          : std::make_shared<char[]>(kPageSize);
     result.mode = StoreRefMode::kCopied;
     ref_copies_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -332,7 +331,9 @@ void PageCachePool::EnsureExclusiveLocked(Page& page, bool preserve_content) {
   // An outside splice reference holds this buffer: writing in place would
   // mutate payload already handed out. Break the sharing with a private
   // copy — the real cost of a failed page reuse.
-  auto fresh = std::make_shared<char[]>(kPageSize);
+  // Uninitialized: the content is either copied here or, without
+  // preserve_content, overwritten in full by the caller.
+  auto fresh = std::make_shared_for_overwrite<char[]>(kPageSize);
   if (preserve_content) {
     std::memcpy(fresh.get(), page.data.get(), kPageSize);
   }

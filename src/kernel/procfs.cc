@@ -165,7 +165,7 @@ class ProcTextInode : public ProcInode {
  public:
   using Renderer = std::function<std::string(const Process&, Pid)>;
 
-  ProcTextInode(ProcFs* fs, ProcessPtr proc, Pid pid_in_ns, Renderer renderer)
+  ProcTextInode(ProcFs* fs, std::weak_ptr<Process> proc, Pid pid_in_ns, Renderer renderer)
       : ProcInode(fs, fs->AllocIno(), kIfReg | 0444),
         proc_(std::move(proc)),
         pid_in_ns_(pid_in_ns),
@@ -175,12 +175,18 @@ class ProcTextInode : public ProcInode {
     if (WantsWrite(flags)) {
       return Status::Error(EACCES);
     }
-    return FilePtr(std::make_shared<StringFile>(shared_from_this(), renderer_(*proc_, pid_in_ns_),
+    ProcessPtr proc = proc_.lock();
+    if (proc == nullptr) {
+      return Status::Error(ESRCH);
+    }
+    return FilePtr(std::make_shared<StringFile>(shared_from_this(), renderer_(*proc, pid_in_ns_),
                                                 flags));
   }
 
  private:
-  ProcessPtr proc_;
+  // Weak, like every procfs reference to its process: an fd a process
+  // keeps open on its own /proc entry must not keep that process alive.
+  std::weak_ptr<Process> proc_;
   Pid pid_in_ns_;
   Renderer renderer_;
 };
@@ -204,27 +210,31 @@ class ProcNsInode : public ProcInode {
 // /proc/<pid>/ns/
 class ProcNsDirInode : public ProcInode {
  public:
-  ProcNsDirInode(ProcFs* fs, ProcessPtr proc, InodePtr parent)
+  ProcNsDirInode(ProcFs* fs, std::weak_ptr<Process> proc, InodePtr parent)
       : ProcInode(fs, fs->AllocIno(), kIfDir | 0555), proc_(std::move(proc)),
         parent_(std::move(parent)) {}
 
   StatusOr<InodePtr> Lookup(const std::string& name) override {
     auto* pfs = static_cast<ProcFs*>(fs());
+    ProcessPtr proc = proc_.lock();
+    if (proc == nullptr) {
+      return Status::Error(ESRCH);
+    }
     std::shared_ptr<NamespaceBase> ns;
     if (name == "mnt") {
-      ns = proc_->mnt_ns;
+      ns = proc->mnt_ns;
     } else if (name == "pid") {
-      ns = proc_->pid_ns;
+      ns = proc->pid_ns;
     } else if (name == "user") {
-      ns = proc_->user_ns;
+      ns = proc->user_ns;
     } else if (name == "uts") {
-      ns = proc_->uts_ns;
+      ns = proc->uts_ns;
     } else if (name == "ipc") {
-      ns = proc_->ipc_ns;
+      ns = proc->ipc_ns;
     } else if (name == "net") {
-      ns = proc_->net_ns;
+      ns = proc->net_ns;
     } else if (name == "cgroup") {
-      ns = proc_->cgroup_ns;
+      ns = proc->cgroup_ns;
     } else {
       return Status::Error(ENOENT);
     }
@@ -247,19 +257,22 @@ class ProcNsDirInode : public ProcInode {
   StatusOr<InodePtr> Parent() override { return parent_; }
 
  private:
-  ProcessPtr proc_;
+  std::weak_ptr<Process> proc_;
   InodePtr parent_;
 };
 
 // /proc/<pid>/
 class ProcPidDirInode : public ProcInode {
  public:
-  ProcPidDirInode(ProcFs* fs, ProcessPtr proc, Pid pid_in_ns, InodePtr parent)
+  ProcPidDirInode(ProcFs* fs, std::weak_ptr<Process> proc, Pid pid_in_ns, InodePtr parent)
       : ProcInode(fs, fs->AllocIno(), kIfDir | 0555), proc_(std::move(proc)),
         pid_in_ns_(pid_in_ns), parent_(std::move(parent)) {}
 
   StatusOr<InodePtr> Lookup(const std::string& name) override {
     auto* pfs = static_cast<ProcFs*>(fs());
+    if (proc_.expired()) {
+      return Status::Error(ESRCH);
+    }
     if (name == "ns") {
       return InodePtr(std::make_shared<ProcNsDirInode>(pfs, proc_, shared_from_this()));
     }
@@ -317,7 +330,7 @@ class ProcPidDirInode : public ProcInode {
   StatusOr<InodePtr> Parent() override { return parent_; }
 
  private:
-  ProcessPtr proc_;
+  std::weak_ptr<Process> proc_;
   Pid pid_in_ns_;
   InodePtr parent_;
 };

@@ -45,8 +45,11 @@ struct PageRef {
 
   // A fresh page holding a copy of `src[0, len)`; the tail is zeroed.
   static PageRef Copy(const char* src, uint32_t len) {
-    PageRef ref = Alloc(len);
+    PageRef ref;
+    ref.page = std::make_shared_for_overwrite<char[]>(kernel::kPageSize);
+    ref.len = len;
     std::memcpy(ref.page.get(), src, len);
+    std::memset(ref.page.get() + len, 0, kernel::kPageSize - len);
     return ref;
   }
 

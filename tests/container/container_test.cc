@@ -124,6 +124,26 @@ TEST_F(EngineTest, RuntimeIsolatesNamespacesAndAppliesSpec) {
   EXPECT_TRUE(status.ok());
 }
 
+// An fd a container process keeps open on its own /proc entry must not keep
+// the process alive: the open file holds its procfs inode, and that inode
+// only refers to the process weakly, so tearing the kernel down frees it.
+TEST_F(EngineTest, OpenProcFileDoesNotOutliveItsKernel) {
+  std::weak_ptr<kernel::Process> weak;
+  {
+    DockerEngine docker(runtime_.get(), registry_.get());
+    auto c = docker.Run("svc", TestImage("acme/svc"));
+    ASSERT_TRUE(c.ok()) << c.status().ToString();
+    auto proc = c.value()->init_proc();
+    weak = proc;
+    auto status = kernel_->Open(*proc, "/proc/1/status", kernel::kORdOnly);
+    ASSERT_TRUE(status.ok());  // never closed
+  }
+  registry_.reset();
+  runtime_.reset();
+  kernel_.reset();
+  EXPECT_TRUE(weak.expired());
+}
+
 TEST_F(EngineTest, DockerUses64HexIdsAndPrefixResolution) {
   DockerEngine docker(runtime_.get(), registry_.get());
   auto c = docker.Run("db", TestImage("acme/db"));

@@ -2,13 +2,15 @@
 // completion to the right waiters, SQ-full backpressure vs. the admission
 // gate, FORGET ordering across a reap boundary, interrupt and deadline
 // expiry of ring-resident requests, abort with entries in flight, multi-reap
-// batch accounting, the exact charges of both cost profiles, the paper-era
-// timeline pinned to golden values, splice payloads over rings, and the ring
-// fault points degrading cleanly.
+// batch accounting, the exact charges of both cost profiles, submission-queue
+// polling (its adaptive window, closed-loop hits, lost doorbells, abort), the
+// paper-era timeline pinned to golden values, splice payloads over rings,
+// and the ring fault points degrading cleanly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -383,6 +385,180 @@ TEST(RingTransportTest, MultiReapDrainsAForgetBurstInOnePass) {
   conn.Abort();
 }
 
+// --- submission-queue polling ---
+
+uint64_t ConnCounter(const FuseConn& conn, const char* name) {
+  return conn.metrics_registry()->GetCounter(name, {{"mount", conn.mount_label()}})->Value();
+}
+
+// A server loop that answers every GETATTR with its nodeid, until the
+// connection aborts.
+void ServeGetattrs(FuseConn& conn) {
+  while (true) {
+    std::vector<FuseRequest> batch = conn.ReadRequestBatch(0);
+    if (batch.empty()) {
+      return;
+    }
+    for (const FuseRequest& req : batch) {
+      FuseReply reply;
+      reply.data = std::to_string(req.nodeid);
+      conn.WriteReply(req.unique, std::move(reply));
+    }
+  }
+}
+
+FuseRequest GetattrOf(uint64_t nodeid) {
+  FuseRequest req = GetattrFrom(5);
+  req.nodeid = nodeid;
+  return req;
+}
+
+TEST(RingTransportTest, SqPollWindowHitRestoresMissHalvesZeroProbesEveryEighth) {
+  constexpr uint64_t kFull = SqPollWindow::kFullNs;
+  SqPollWindow window;
+  EXPECT_EQ(window.Next(), kFull);
+  // Each miss halves the window, down to zero.
+  uint64_t expect = kFull;
+  while (expect != 0) {
+    window.Record(false);
+    expect /= 2;
+    ASSERT_EQ(window.window_ns(), expect);
+  }
+  // At zero only every 8th post-reply idle probes, with the full window;
+  // a probe that misses leaves the window at zero.
+  for (int round = 0; round < 2; ++round) {
+    for (uint32_t i = 1; i < SqPollWindow::kProbeEvery; ++i) {
+      EXPECT_EQ(window.Next(), 0u) << "idle " << i << " of round " << round;
+    }
+    EXPECT_EQ(window.Next(), kFull);
+    window.Record(false);
+    EXPECT_EQ(window.window_ns(), 0u);
+  }
+  // A probe that hits restores the full window.
+  for (uint32_t i = 1; i < SqPollWindow::kProbeEvery; ++i) {
+    EXPECT_EQ(window.Next(), 0u);
+  }
+  EXPECT_EQ(window.Next(), kFull);
+  window.Record(true);
+  EXPECT_EQ(window.Next(), kFull);
+  // So does a hit on a shrunken window.
+  window.Record(false);
+  window.Record(false);
+  EXPECT_EQ(window.Next(), kFull / 4);
+  window.Record(true);
+  EXPECT_EQ(window.Next(), kFull);
+}
+
+// One worker, one closed-loop caller: the worker polls after each reply and
+// catches the caller's next request without a wakeup. The two hand off so
+// that the caller submits while the poll runs, however long the caller's
+// path between a reply and its next request is (in a ThreadSanitizer build
+// it runs past the window): the worker starts its next read when the
+// caller is ready, and the caller sends once it sees the poll (or after
+// 2 ms, when the window is at zero and this idle does not probe).
+TEST(RingTransportTest, ClosedLoopCallerHitsTheSqPoll) {
+  SimClock clock;
+  CostModel costs;
+  FuseConn conn(&clock, &costs, 1);
+  ASSERT_GT(conn.ConfigureRing(64), 0u);
+  constexpr uint64_t kRequests = 200;
+  std::atomic<uint64_t> ready{0};  // requests the caller is ready to send
+  std::thread worker([&] {
+    for (uint64_t served = 0;;) {
+      while (ready.load() == served && !conn.aborted()) {
+      }
+      std::vector<FuseRequest> batch = conn.ReadRequestBatch(0);
+      if (batch.empty()) {
+        return;
+      }
+      for (const FuseRequest& req : batch) {
+        FuseReply reply;
+        reply.data = std::to_string(req.nodeid);
+        conn.WriteReply(req.unique, std::move(reply));
+        ++served;
+      }
+    }
+  });
+  uint64_t correct = 0;
+  for (uint64_t i = 0; i < kRequests; ++i) {
+    ready.fetch_add(1);
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::milliseconds(2);
+    while (!conn.sq_polling() && std::chrono::steady_clock::now() < give_up) {
+    }
+    auto reply = conn.SendAndWait(GetattrOf(1000 + i));
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    correct += reply->data == std::to_string(1000 + i) ? 1 : 0;
+  }
+  conn.Abort();
+  worker.join();
+  EXPECT_EQ(correct, kRequests);
+  EXPECT_GT(ConnCounter(conn, "cntr_fuse_conn_sq_poll_hits_total"), 0u)
+      << "misses " << ConnCounter(conn, "cntr_fuse_conn_sq_poll_misses_total");
+}
+
+// Every doorbell lost and requests spaced past the poll window: nothing
+// wakes the parked worker, and its bounded 1 ms park still serves them.
+TEST(RingTransportTest, LostDoorbellsStillResolveThroughTheBoundedPark) {
+  SimClock clock;
+  CostModel costs;
+  fault::FaultRegistry faults;
+  FuseConn conn(&clock, &costs, 1, &faults);
+  ASSERT_GT(conn.ConfigureRing(64), 0u);
+  fault::FaultSpec spec;
+  spec.fail_every = 1;
+  faults.Arm("fuse.ring.doorbell_lost", spec);
+  std::thread worker([&] { ServeGetattrs(conn); });
+  constexpr int kRequests = 10;
+  int correct = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    auto reply = conn.SendAndWait(GetattrOf(7000 + i));
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    correct += reply->data == std::to_string(7000 + i) ? 1 : 0;
+  }
+  conn.Abort();
+  worker.join();
+  EXPECT_EQ(correct, kRequests);
+  EXPECT_GE(faults.Fired("fuse.ring.doorbell_lost"), static_cast<uint64_t>(kRequests));
+  EXPECT_GT(ConnCounter(conn, "cntr_fuse_conn_sq_poll_misses_total"), 0u);
+}
+
+// Abort() while a worker polls: the poll checks aborted() and the read
+// returns empty at once instead of running out its window and parking.
+TEST(RingTransportTest, AbortDuringASqPollReturnsPromptly) {
+  SimClock clock;
+  CostModel costs;
+  bool caught = false;
+  // A poll lasts one window; retry on a fresh connection when this thread
+  // was descheduled through all of it.
+  for (int attempt = 0; attempt < 50 && !caught; ++attempt) {
+    FuseConn conn(&clock, &costs, 1);
+    ASSERT_GT(conn.ConfigureRing(64), 0u);
+    std::atomic<bool> returned{false};
+    std::vector<FuseRequest> batch;
+    std::chrono::steady_clock::time_point returned_at;
+    std::thread worker([&] {
+      batch = conn.ReadRequestBatch(0);
+      returned_at = std::chrono::steady_clock::now();
+      returned.store(true);
+    });
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+    while (!conn.sq_polling() && std::chrono::steady_clock::now() < give_up) {
+    }
+    const auto aborted_at = std::chrono::steady_clock::now();
+    caught = conn.sq_polling();
+    conn.Abort();
+    worker.join();
+    EXPECT_TRUE(returned.load());
+    EXPECT_TRUE(batch.empty());
+    if (caught) {
+      EXPECT_LT(returned_at - aborted_at, std::chrono::milliseconds(50));
+      EXPECT_EQ(ConnCounter(conn, "cntr_fuse_conn_sq_poll_hits_total"), 0u);
+    }
+  }
+  EXPECT_TRUE(caught) << "no attempt observed a poll in progress";
+}
+
 // queued_depth() is the pool controller's overload signal. A submitter
 // counts its SQE before publishing it, so a reaper that pops and
 // decrements at once can never drive the count below zero; it used to wrap
@@ -404,12 +580,13 @@ TEST(RingTransportTest, QueuedDepthNeverExceedsRequestsInFlight) {
   std::atomic<uint64_t> worst{0};
   // In flight = submissions started minus requests reaped. Reading reaped
   // first and started last makes the bound conservative: the count the
-  // depth reflects lies between the two reads.
+  // depth reflects lies between the two reads. `started` is read with an
+  // RMW: it cannot move ahead of the depth read (a thread fence would do
+  // the same, but ThreadSanitizer does not model fences).
   auto sample = [&] {
     uint64_t done = reaped.load();
     uint64_t depth = conn.queued_depth();
-    std::atomic_thread_fence(std::memory_order_acquire);
-    uint64_t in_flight = started.load() - done;
+    uint64_t in_flight = started.fetch_add(0) - done;
     samples.fetch_add(1, std::memory_order_relaxed);
     if (depth > in_flight) {
       violations.fetch_add(1, std::memory_order_relaxed);

@@ -260,5 +260,19 @@ TEST_F(NamespaceTest, ExitRemovesFromProcessTable) {
   EXPECT_EQ(kernel_->procs().Get(pid), nullptr);
 }
 
+// procfs holds its processes weakly: a /proc/<pid> directory that outlives
+// its process (here as the cwd of another) answers ESRCH.
+TEST_F(NamespaceTest, ProcfsEntryOfExitedProcessAnswersEsrch) {
+  auto child = kernel_->Fork(*init_, "short-lived");
+  std::weak_ptr<Process> weak = child;
+  ASSERT_TRUE(kernel_->Chdir(*init_, "/proc/" + std::to_string(child->global_pid())).ok());
+  EXPECT_EQ(ReadAll(*init_, "comm"), "short-lived\n");
+  kernel_->Exit(*child);
+  child.reset();
+  ASSERT_TRUE(weak.expired()) << "the cwd's procfs inode must not pin the process";
+  EXPECT_EQ(kernel_->Open(*init_, "status", kORdOnly).error(), ESRCH);
+  EXPECT_EQ(kernel_->Open(*init_, "ns/mnt", kORdOnly).error(), ESRCH);
+}
+
 }  // namespace
 }  // namespace cntr::kernel
